@@ -18,6 +18,7 @@ use nfv_sim::engine::{
 };
 use nfv_sim::prelude::*;
 use nfv_sim::ring::SpscRing;
+use serde::{Deserialize, Serialize};
 
 fn bench(c: &mut Criterion) {
     // SPSC ring push/pop pair.
@@ -680,6 +681,78 @@ fn bench(c: &mut Criterion) {
         g.finish();
     }
 
+    // JSON codec linearity: the vendored serde_json over a
+    // TrainCheckpoint-shaped document at ~64 KiB and 64x that (~4 MiB).
+    // Like a checkpoint, it is string-heavy — exported networks travel as
+    // escaped Mlp JSON strings (`DdpgParams`) — next to replay transitions.
+    // Throughput is in bytes, so the record's ns_per_element is ns/byte and
+    // the CI perf gate pins `from_json_large <= 1.5x from_json_small`
+    // (`perf_check --max-ratio`): a reader whose per-byte cost grows with
+    // the document length cannot pass it at any runner speed.
+    {
+        let unit = JsonCodecUnit {
+            params: Mlp::two_hidden(4, 8, 5, Activation::Tanh, 7).to_json(),
+            replay: (0..16)
+                .map(|i| Transition {
+                    state: vec![0.1 + 0.01 * f64::from(i); 4],
+                    action: vec![-0.3 + 0.07 * f64::from(i); 5],
+                    reward: 0.5 * f64::from(i),
+                    next_state: vec![0.2 + 0.03 * f64::from(i); 4],
+                    done: i % 7 == 0,
+                })
+                .collect(),
+        };
+        let unit_bytes = serde_json::to_string(&unit).expect("unit serializes").len();
+        let small_units = (64 << 10) / unit_bytes;
+        let doc = |units: usize| {
+            let units: Vec<&JsonCodecUnit> = std::iter::repeat_n(&unit, units).collect();
+            serde_json::to_string(&units).expect("document serializes")
+        };
+        const SCALE: usize = 64;
+        let small = doc(small_units);
+        let large = doc(SCALE * small_units);
+        let parsed_large: Vec<JsonCodecUnit> =
+            serde_json::from_str(&large).expect("document parses");
+        let mut g = c.benchmark_group("json_codec");
+        // One `from_json_small` iteration reads the small document SCALE
+        // times, so both sides of the ratio gate read the same bytes per
+        // iteration and are sampled over equally long windows (a short
+        // window catches quiet host bursts more often, which would bias the
+        // minimum-based smoke record toward the small side). Interleaved
+        // rounds, min-merged per id by the perf record, keep a host load
+        // wave from landing on one side of the ratio only.
+        for _round in 0..3 {
+            g.throughput(Throughput::Bytes((SCALE * small.len()) as u64));
+            g.bench_function("from_json_small", |b| {
+                b.iter(|| {
+                    for _ in 0..SCALE {
+                        std::hint::black_box(
+                            serde_json::from_str::<Vec<JsonCodecUnit>>(std::hint::black_box(
+                                &small,
+                            ))
+                            .expect("document parses"),
+                        );
+                    }
+                })
+            });
+            g.throughput(Throughput::Bytes(large.len() as u64));
+            g.bench_function("from_json_large", |b| {
+                b.iter(|| {
+                    serde_json::from_str::<Vec<JsonCodecUnit>>(std::hint::black_box(&large))
+                        .expect("document parses")
+                })
+            });
+        }
+        g.throughput(Throughput::Bytes(large.len() as u64));
+        g.bench_function("to_json_large", |b| {
+            b.iter(|| {
+                serde_json::to_string(std::hint::black_box(&parsed_large))
+                    .expect("document serializes")
+            })
+        });
+        g.finish();
+    }
+
     // DDPG minibatch update (batch 64, hidden 64) — the training bottleneck.
     {
         let mut agent = DdpgAgent::new(4, 5, DdpgConfig::default(), 1);
@@ -735,6 +808,14 @@ fn bench(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(net.infer_one(std::hint::black_box(&obs))))
         });
     }
+}
+
+/// One unit of the `json_codec` bench document: an exported network as
+/// an escaped JSON string plus a slice of replay transitions.
+#[derive(Serialize, Deserialize)]
+struct JsonCodecUnit {
+    params: String,
+    replay: Vec<Transition>,
 }
 
 criterion_group! {

@@ -28,7 +28,9 @@
 //! `--max-ratio` is the overhead-bound dual: bench `a_id` must take at most
 //! `max_ratio`× the ns/element of `b_id` within the current record. CI uses
 //! it to cap the sharded-cluster coordinator overhead at ≤ 1.15× the fused
-//! in-process path (`shard_epoch/sharded_1` vs `shard_epoch/fused`).
+//! in-process path (`shard_epoch/sharded_1` vs `shard_epoch/fused`), and to
+//! pin the vendored JSON reader linear (ns/byte of
+//! `json_codec/from_json_large` at ≤ 1.5× `json_codec/from_json_small`).
 
 use serde::Deserialize;
 
