@@ -360,13 +360,11 @@ fn bench(c: &mut Criterion) {
         g.finish();
     }
 
-    // Pipelined multi-epoch runtime vs stepping epochs one by one, on the
-    // long-horizon diurnal-trace scenario (the replay workload the pipeline
-    // exists for). One iteration = the scenario's full 48-epoch day; element
-    // throughput = epochs, so the perf record reports ns/epoch. On a
-    // single-core container `run_epochs` stays inline (the overlap worker
-    // cannot pay) and the win is buffer reuse; on multicore hosts with
-    // >= OVERLAP_MIN_LANES staged lanes the producer overlaps the kernel.
+    // Multi-epoch loop vs stepping epochs one by one, on the long-horizon
+    // diurnal-trace scenario (the replay workload the loop exists for). One
+    // iteration = the scenario's full 48-epoch day; element throughput =
+    // epochs, so the perf record reports ns/epoch. Both run the same inline
+    // stage loop; the difference is buffer reuse across epochs.
     {
         let mut g = c.benchmark_group("pipeline_epoch");
         let scenario = Scenario::by_name("diurnal-trace").expect("registry name");
@@ -488,23 +486,11 @@ fn bench(c: &mut Criterion) {
             let churn_lanes = 64 * churn_pct / 100;
             let mut inc = churned(churn_lanes);
             g.bench_function(&format!("incremental_wide64_churn{churn_pct}_8"), |b| {
-                b.iter(|| {
-                    std::hint::black_box(inc.run_epochs_eval(
-                        8,
-                        PipelineMode::Auto,
-                        EvalMode::Incremental,
-                    ))
-                })
+                b.iter(|| std::hint::black_box(inc.run_epochs_eval(8, EvalMode::Incremental)))
             });
             let mut full = churned(churn_lanes);
             g.bench_function(&format!("full_wide64_churn{churn_pct}_8"), |b| {
-                b.iter(|| {
-                    std::hint::black_box(full.run_epochs_eval(
-                        8,
-                        PipelineMode::Auto,
-                        EvalMode::Full,
-                    ))
-                })
+                b.iter(|| std::hint::black_box(full.run_epochs_eval(8, EvalMode::Full)))
             });
         }
 
@@ -523,22 +509,12 @@ fn bench(c: &mut Criterion) {
         let mut lc_inc = low_churn.build_cluster().expect("scenario builds");
         g.bench_function("incremental_low_churn_48", |b| {
             b.iter(|| {
-                std::hint::black_box(lc_inc.run_epochs_eval(
-                    lc_epochs,
-                    PipelineMode::Auto,
-                    EvalMode::Incremental,
-                ))
+                std::hint::black_box(lc_inc.run_epochs_eval(lc_epochs, EvalMode::Incremental))
             })
         });
         let mut lc_full = low_churn.build_cluster().expect("scenario builds");
         g.bench_function("full_low_churn_48", |b| {
-            b.iter(|| {
-                std::hint::black_box(lc_full.run_epochs_eval(
-                    lc_epochs,
-                    PipelineMode::Auto,
-                    EvalMode::Full,
-                ))
-            })
+            b.iter(|| std::hint::black_box(lc_full.run_epochs_eval(lc_epochs, EvalMode::Full)))
         });
         g.finish();
     }

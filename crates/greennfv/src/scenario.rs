@@ -237,7 +237,7 @@ impl Scenario {
                         SimError::NodeConfig(format!("node {ni} tenant `{}`: {e}", tenant.name))
                     })?;
             }
-            cluster.add_node(node);
+            cluster.add_node(node)?;
         }
         Ok(cluster)
     }
@@ -287,13 +287,11 @@ impl Scenario {
     }
 
     /// Runs the scenario end-to-end: `epochs` lock-step cluster epochs
-    /// through the fused batch path under the scenario's [`EvalMode`] —
-    /// `full` uses the **pipelined** sweep ([`Cluster::run_epochs`] — on
-    /// multicore hosts with enough chains, traffic generation for the next
-    /// epoch overlaps the current epoch's kernel sweep), `incremental` keeps
-    /// the staged batch alive across epochs and re-runs only dirty lane
-    /// groups — scoring every tenant per epoch against its own agreement on
-    /// its own attributed energy. Bit-identical to stepping
+    /// through the fused epoch loop ([`Cluster::observe_epochs`]) under the
+    /// scenario's [`EvalMode`] — `full` sweeps every lane each epoch,
+    /// `incremental` keeps the staged batch alive across epochs and re-runs
+    /// only dirty lane groups — scoring every tenant per epoch against its
+    /// own agreement on its own attributed energy. Bit-identical to stepping
     /// [`Cluster::run_epoch`] per epoch in either mode.
     pub fn run(&self) -> SimResult<ScenarioRunResult> {
         if self.shards > 1 {
@@ -303,15 +301,14 @@ impl Scenario {
         let mut records = Vec::new();
         let mut cluster_t = 0.0;
         let mut cluster_e = 0.0;
-        // Stream: each report is scored and dropped as its epoch
-        // aggregates, so memory stays O(1) in the horizon (the pipeline
-        // itself only looks one epoch ahead).
-        cluster.stream_epochs_eval(
+        // Each report is scored from the epoch loop's retained buffer as
+        // its epoch aggregates, so memory stays O(1) in the horizon.
+        cluster.observe_epochs(
             self.epochs as usize,
             PipelineMode::Auto,
             self.evaluation,
             |epoch, report| {
-                self.score_epoch(epoch, &report, &mut records, &mut cluster_t, &mut cluster_e);
+                self.score_epoch(epoch, report, &mut records, &mut cluster_t, &mut cluster_e);
             },
         );
         Ok(self.finish_run(records, cluster_t, cluster_e))

@@ -137,16 +137,6 @@ impl ChainBatch {
         }
     }
 
-    /// Builds a batch from engine-style `(knobs, cost, load, llc_bytes)`
-    /// config tuples (the shape [`crate::engine::evaluate_node`] consumes).
-    pub fn from_configs(configs: &[(KnobSettings, ChainCost, ChainLoad, f64)]) -> Self {
-        let mut batch = Self::with_capacity(configs.len());
-        for (knobs, cost, load, llc_bytes) in configs {
-            batch.push(knobs, cost, load, *llc_bytes);
-        }
-        batch
-    }
-
     /// Number of lanes staged.
     pub fn len(&self) -> usize {
         self.cpu_cores.len()
@@ -389,10 +379,9 @@ impl ChainBatch {
     /// `reuse_clean_loads` lets a writer skip the load columns for lanes
     /// whose traffic source reported no change. That is only sound when the
     /// batch is the *single persistent* buffer that already holds the
-    /// previous window's loads at the same lane positions (the incremental
-    /// pipeline's steady state); pass `false` whenever the buffer may hold
-    /// older or differently-laid-out values (first epoch of a run, or the
-    /// double-buffered full path whose back buffer is two windows old).
+    /// previous window's loads at the same lane positions (every epoch of a
+    /// run after the first); pass `false` whenever the buffer may hold
+    /// older or differently-laid-out values (the first epoch of a run).
     pub fn lane_writer(&mut self, reuse_clean_loads: bool) -> LaneWriter<'_> {
         LaneWriter {
             batch: self,
@@ -1370,29 +1359,5 @@ mod tests {
         // Reuse across sweeps: the buffer refills in place.
         evaluate_chain_batch_into(&batch, &tuning, &mut out);
         assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn from_configs_matches_pushes() {
-        let cost = canonical_cost();
-        let load = ChainLoad {
-            arrival_pps: 2.0e6,
-            mean_packet_size: 512.0,
-            burstiness: 1.5,
-        };
-        let configs = vec![
-            (KnobSettings::baseline(), cost, load, 1e6),
-            (KnobSettings::default_tuned(), cost, load, 9e6),
-        ];
-        let a = ChainBatch::from_configs(&configs);
-        let mut b = ChainBatch::new();
-        for (k, c, l, llc) in &configs {
-            b.push(k, c, l, *llc);
-        }
-        let tuning = SimTuning::default();
-        assert_eq!(
-            evaluate_chain_batch(&a, &tuning),
-            evaluate_chain_batch(&b, &tuning)
-        );
     }
 }

@@ -51,8 +51,8 @@ impl ClusterEpochReport {
 #[derive(Default)]
 pub struct Cluster {
     nodes: Vec<Node>,
-    /// The epoch runtime: owns the double-buffered batches, so repeated
-    /// epochs (and multi-epoch runs) never re-fuse or re-allocate lanes.
+    /// The epoch loop: owns the persistent batch, so repeated epochs (and
+    /// multi-epoch runs) never re-fuse or re-allocate lanes.
     pipeline: EpochPipeline,
 }
 
@@ -63,8 +63,24 @@ impl Cluster {
     }
 
     /// Appends a node (built externally, e.g. via [`Node::with_profile`]).
-    pub fn add_node(&mut self, node: Node) {
+    ///
+    /// Every node shares the first node's [`SimTuning`]: that is what lets
+    /// each epoch fuse all lanes into one batch. A node with a different
+    /// tuning is rejected with [`SimError::NodeConfig`] and the cluster is
+    /// left unchanged.
+    pub fn add_node(&mut self, node: Node) -> SimResult<()> {
+        if let Some(first) = self.nodes.first() {
+            if node.tuning() != first.tuning() {
+                return Err(SimError::NodeConfig(format!(
+                    "node {} tuning {:?} differs from the cluster's {:?}",
+                    node.id(),
+                    node.tuning(),
+                    first.tuning()
+                )));
+            }
+        }
         self.nodes.push(node);
+        Ok(())
     }
 
     /// Creates a cluster of `n` identically configured nodes.
@@ -78,7 +94,7 @@ impl Cluster {
             nodes: (0..n as u32)
                 .map(|id| Node::new(id, tuning, power, policy))
                 .collect(),
-            pipeline: EpochPipeline::new(),
+            pipeline: EpochPipeline::default(),
         }
     }
 
@@ -98,7 +114,7 @@ impl Cluster {
             .collect::<SimResult<Vec<_>>>()?;
         Ok(Self {
             nodes,
-            pipeline: EpochPipeline::new(),
+            pipeline: EpochPipeline::default(),
         })
     }
 
@@ -148,97 +164,58 @@ impl Cluster {
         self.nodes.iter()
     }
 
-    /// Runs one epoch on every node: a thin wrapper over the pipelined
-    /// multi-epoch runtime ([`Cluster::run_epochs`]) at horizon 1.
+    /// Runs one epoch on every node: [`Cluster::run_epochs`] at horizon 1.
     ///
     /// All chains of all nodes are staged as lanes of one fused
     /// [`ChainBatch`](crate::batch::ChainBatch) and evaluated in a single
-    /// [`evaluate_chain_batch`](crate::batch::evaluate_chain_batch) call
-    /// (auto-chunked across threads for large clusters), then folded back
-    /// into per-node reports in node order. The batch kernel is lane-order
-    /// deterministic for any thread count, so this is bit-identical to
-    /// running each node's epoch serially. When nodes carry heterogeneous
-    /// model tunings their lanes cannot share one batch, and each node
-    /// evaluates its own.
+    /// [`evaluate_chain_batch_into`](crate::batch::evaluate_chain_batch_into)
+    /// call (auto-chunked across threads for large clusters), then folded
+    /// back into per-node reports in node order. The batch kernel is
+    /// lane-order deterministic for any thread count, so this is
+    /// bit-identical to running each node's epoch serially.
     pub fn run_epoch(&mut self) -> ClusterEpochReport {
-        self.pipeline.step(&mut self.nodes)
+        self.run_epochs(1).pop().expect("one epoch requested")
     }
 
     /// Runs `epochs` lock-step epochs through the
-    /// [pipelined runtime](crate::pipeline): on multicore hosts with enough
-    /// staged lanes, traffic generation for epoch *N + 1* overlaps the
-    /// kernel sweep of epoch *N* in a double-buffered producer/consumer
-    /// pipeline — bit-identical to calling [`Cluster::run_epoch`] in a loop
-    /// (proptested in `tests/proptests.rs`).
+    /// [epoch loop](crate::pipeline), returning one report per epoch in
+    /// order. The loop keeps its batch, kernel outputs and report across
+    /// epochs and runs, so this is bit-identical to calling
+    /// [`Cluster::run_epoch`] in a loop (proptested in `tests/proptests.rs`)
+    /// without re-fusing lanes each epoch.
     pub fn run_epochs(&mut self, epochs: usize) -> Vec<ClusterEpochReport> {
-        self.run_epochs_with(epochs, PipelineMode::Auto)
+        self.run_epochs_eval(epochs, EvalMode::Full)
     }
 
-    /// [`Cluster::run_epochs`] with an explicit [`PipelineMode`] (tests pin
-    /// the overlapped path's bit-equality even on small clusters).
-    pub fn run_epochs_with(
-        &mut self,
-        epochs: usize,
-        mode: PipelineMode,
-    ) -> Vec<ClusterEpochReport> {
-        self.pipeline.run(&mut self.nodes, epochs, mode)
-    }
-
-    /// [`Cluster::run_epochs_with`] with an explicit [`EvalMode`]: `Full`
+    /// [`Cluster::run_epochs`] with an explicit [`EvalMode`]: `Full`
     /// sweeps every lane every epoch, `Incremental` keeps the staged batch
     /// as persistent state and re-evaluates only lanes whose inputs changed
     /// (the first epoch of each run is always a full priming sweep, which is
     /// also what keeps resumed runs bit-identical). Results are
     /// bit-identical across modes; only the kernel work differs.
-    pub fn run_epochs_eval(
-        &mut self,
-        epochs: usize,
-        mode: PipelineMode,
-        eval: EvalMode,
-    ) -> Vec<ClusterEpochReport> {
-        self.pipeline.run_eval(&mut self.nodes, epochs, mode, eval)
+    pub fn run_epochs_eval(&mut self, epochs: usize, eval: EvalMode) -> Vec<ClusterEpochReport> {
+        let mut reports = Vec::with_capacity(epochs);
+        self.observe_epochs(epochs, PipelineMode::Auto, eval, |_, report| {
+            reports.push(report.clone());
+        });
+        reports
     }
 
-    /// Streaming form of [`Cluster::run_epochs`]: each epoch's report is
-    /// handed to `consume(epoch_index, report)` as soon as it aggregates,
-    /// so long-horizon replays score and drop reports in O(1) memory
-    /// instead of materializing the whole horizon.
-    pub fn stream_epochs(
-        &mut self,
-        epochs: usize,
-        mode: PipelineMode,
-        consume: impl FnMut(usize, ClusterEpochReport),
-    ) {
-        self.pipeline
-            .run_with(&mut self.nodes, epochs, mode, consume);
-    }
-
-    /// Streaming form of [`Cluster::run_epochs_eval`].
-    pub fn stream_epochs_eval(
-        &mut self,
-        epochs: usize,
-        mode: PipelineMode,
-        eval: EvalMode,
-        consume: impl FnMut(usize, ClusterEpochReport),
-    ) {
-        self.pipeline
-            .run_with_eval(&mut self.nodes, epochs, mode, eval, consume);
-    }
-
-    /// Borrowed-view form of [`Cluster::stream_epochs_eval`]: each epoch's
-    /// report is handed to `observe` as a reference into the pipeline's
-    /// retained buffer, so a steady-state epoch allocates nothing at all
-    /// (see [`EpochPipeline::run_observed`]). Use this for long scoring
-    /// loops that read a few aggregates per epoch and move on.
+    /// Borrowed-view form of [`Cluster::run_epochs_eval`]: each epoch's
+    /// report is handed to `observe(epoch_index, &report)` as a reference
+    /// into the epoch loop's retained buffer, so a steady-state epoch
+    /// allocates nothing at all. Use this for long scoring loops that read
+    /// each report once and move on; memory stays O(1) in the horizon.
+    /// `mode` selects nothing (see [`PipelineMode`]).
     pub fn observe_epochs(
         &mut self,
         epochs: usize,
-        mode: PipelineMode,
+        _mode: PipelineMode,
         eval: EvalMode,
         observe: impl FnMut(usize, &ClusterEpochReport),
     ) {
         self.pipeline
-            .run_observed(&mut self.nodes, epochs, mode, eval, observe);
+            .run_observed(&mut self.nodes, epochs, eval, observe);
     }
 }
 
@@ -297,6 +274,33 @@ mod tests {
                 .collect();
             assert_eq!(fused_report.nodes, serial_reports);
         }
+    }
+
+    #[test]
+    fn add_node_rejects_a_mismatched_tuning() {
+        let node = |id, epoch_s| {
+            let tuning = SimTuning {
+                epoch_s,
+                ..SimTuning::default()
+            };
+            Node::new(
+                id,
+                tuning,
+                PowerModel::default(),
+                PlatformPolicy::greennfv(),
+            )
+        };
+        let mut c = Cluster::new();
+        c.add_node(node(0, 30.0)).unwrap();
+        c.add_node(node(1, 30.0)).unwrap();
+        let err = c.add_node(node(2, 60.0)).unwrap_err();
+        assert!(matches!(err, SimError::NodeConfig(_)), "{err}");
+        assert_eq!(
+            c.len(),
+            2,
+            "a rejected node must leave the cluster unchanged"
+        );
+        assert_eq!(c.run_epoch().nodes.len(), 2);
     }
 
     #[test]

@@ -164,8 +164,9 @@ pub struct ChainLoad {
 
 /// Tunable model constants. Defaults are calibrated so the §3
 /// micro-benchmarks land in the paper's ranges; see `tests/calibration.rs`.
-/// `PartialEq` lets the batched cluster path verify that nodes share one
-/// tuning before fusing their lanes into a single [`crate::batch::ChainBatch`].
+/// `PartialEq` lets [`crate::cluster::Cluster::add_node`] keep every node on
+/// one tuning, so each epoch fuses all lanes into a single
+/// [`crate::batch::ChainBatch`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SimTuning {
     /// DRAM access latency in nanoseconds.

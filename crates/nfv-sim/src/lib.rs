@@ -89,7 +89,7 @@ pub mod prelude {
     pub use crate::nf::{NetworkFunction, NfCost, NfKind};
     pub use crate::node::{Node, NodeCursor, NodeEpochReport, NodeProfile};
     pub use crate::packet::{FiveTuple, Packet, PacketBatch, Protocol};
-    pub use crate::pipeline::{EpochPipeline, EvalMode, PipelineMode, OVERLAP_MIN_LANES};
+    pub use crate::pipeline::{EvalMode, PipelineMode};
     pub use crate::power::{calibrate_h, PowerMeter, PowerModel};
     pub use crate::runtime::{run_functional, FunctionalStats, RuntimeConfig};
     pub use crate::shard::{
@@ -99,7 +99,7 @@ pub mod prelude {
     pub use crate::simd::{F64x8, WideLane, WIDTH};
     pub use crate::stats::{ChainTelemetry, EpochHistory, Ewma, Summary};
     pub use crate::traffic::{
-        standard_normal, standard_normal_fill_wide, LoadDelta, Trace, TracePoint, TraceSource,
-        TrafficCursor, TrafficGen, TrafficSource, WindowArrivals,
+        standard_normal, LoadDelta, Trace, TracePoint, TraceSource, TrafficCursor, TrafficGen,
+        TrafficSource, WindowArrivals,
     };
 }

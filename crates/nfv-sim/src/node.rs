@@ -34,22 +34,6 @@ use crate::traffic::{TrafficCursor, TrafficSource};
 /// CLOS id reserved for DDIO.
 const DDIO_CLOS: ClosId = ClosId(u32::MAX);
 
-/// One staged engine lane: the tuple shape `evaluate_node` and
-/// [`ChainBatch::from_configs`] consume.
-pub(crate) type ChainConfig = (KnobSettings, ChainCost, ChainLoad, f64);
-
-/// One node's staged inputs for an epoch, from [`Node::prepare_epoch`]:
-/// the engine configs and the raw arrival rates. Only the heterogeneous
-/// per-node fallback stages through tuples; fused epochs write lanes
-/// straight into batch columns via [`Node::stage_epoch`].
-#[derive(Debug, Default)]
-pub(crate) struct PreparedNode {
-    /// Engine configs, one per hosted chain in chain order.
-    pub(crate) configs: Vec<ChainConfig>,
-    /// Raw arrival rates (pps), one per hosted chain.
-    pub(crate) arrivals: Vec<f64>,
-}
-
 /// Hardware profile of one node: the per-node axes of cluster heterogeneity.
 ///
 /// The profile constrains what knobs a node accepts (frequency range), how
@@ -516,24 +500,10 @@ impl Node {
         Ok(())
     }
 
-    /// Samples one control window of every chain's traffic and stages the
-    /// engine configs plus raw arrival rates. Advances the traffic
-    /// sources: each call consumes one epoch of offered load.
-    pub(crate) fn prepare_epoch(&mut self) -> PreparedNode {
-        let epoch_s = self.tuning.epoch_s;
-        let mut out = PreparedNode::default();
-        for h in &mut self.chains {
-            let (load, _) = h.traffic.sample_load_delta(epoch_s);
-            out.arrivals.push(load.arrival_pps);
-            out.configs.push((h.knobs, h.cost, load, h.llc_bytes));
-        }
-        out
-    }
-
     /// Samples one control window of every chain's traffic and writes the
     /// lanes straight into a [`ChainBatch`] through `writer` — the columnar
     /// generate path: no staging tuples, no copy. Advances the traffic
-    /// sources exactly as [`Self::prepare_epoch`] does (same draws, same
+    /// sources exactly as [`Self::run_epoch`] does (same draws, same
     /// order), and returns the number of lanes written.
     pub(crate) fn stage_epoch(&mut self, writer: &mut LaneWriter<'_>) -> usize {
         let epoch_s = self.tuning.epoch_s;
@@ -546,26 +516,11 @@ impl Node {
         lanes
     }
 
-    /// Folds externally computed per-chain results (one per `prepare_epoch`
-    /// config, in order) into the node report and advances the epoch count.
-    pub(crate) fn finish_epoch(
-        &mut self,
-        configs: &[ChainConfig],
-        arrivals: &[f64],
-        chain_results: &[ChainEpochResult],
-    ) -> NodeEpochReport {
-        let knobs: Vec<KnobSettings> = configs.iter().map(|(k, ..)| *k).collect();
-        let report = self.fold_report(&knobs, arrivals, chain_results);
-        self.epochs_run += 1;
-        report
-    }
-
-    /// Columnar [`Self::finish_epoch`]: folds this node's slice of the
-    /// fused batch — kernel lanes `lane0 ..` plus the knob and arrival
-    /// columns — into a caller-retained report, allocating nothing once
-    /// `out` has grown to the node's chain count. Bit-identical to the
-    /// struct fold (see [`aggregate_node_columns_into`]). Advances the
-    /// epoch count.
+    /// Columnar epoch fold: folds this node's slice of the fused batch —
+    /// kernel lanes `lane0 ..` plus the knob and arrival columns — into a
+    /// caller-retained report, allocating nothing once `out` has grown to
+    /// the node's chain count. Bit-identical to the struct fold (see
+    /// [`aggregate_node_columns_into`]). Advances the epoch count.
     pub(crate) fn finish_epoch_columns_into(
         &mut self,
         batch: &ChainBatch,
@@ -602,22 +557,9 @@ impl Node {
     }
 
     /// The epoch fold minus the `epochs_run` bump: aggregates per-chain
-    /// results into the node outcome and attributes node energy to chains
-    /// proportional to busy core-seconds (idle floor split evenly).
-    fn fold_report(
-        &self,
-        knobs: &[KnobSettings],
-        arrivals: &[f64],
-        chain_results: &[ChainEpochResult],
-    ) -> NodeEpochReport {
-        let mut report = NodeEpochReport::default();
-        self.fold_report_into(knobs, arrivals, chain_results, &mut report);
-        report
-    }
-
-    /// In-place [`Self::fold_report`]: aggregates into a caller-owned report
-    /// so the fold writes its ~350 bytes once, where they will live, instead
-    /// of moving them through intermediate frames.
+    /// results into a caller-owned node report and attributes node energy
+    /// to chains proportional to busy core-seconds (idle floor split
+    /// evenly).
     fn fold_report_into(
         &self,
         knobs: &[KnobSettings],

@@ -1,5 +1,5 @@
-//! Pipelined epoch runtime: a staged generate → evaluate → aggregate graph
-//! over persistent columnar batches.
+//! Epoch runtime: a staged generate → evaluate → aggregate loop over one
+//! persistent columnar batch.
 //!
 //! One cluster epoch decomposes into three stages:
 //!
@@ -9,86 +9,61 @@
 //!    [`ChainBatch`] columns* through a [`LaneWriter`](crate::batch::LaneWriter)
 //!    (`Node::stage_epoch`), in node-index order — no staging tuples, no
 //!    copy pass;
-//! 2. **evaluate** — sweep the column-pass kernel
-//!    ([`evaluate_chain_batch_into`]) over all staged lanes, refreshing a
-//!    retained result buffer;
+//! 2. **evaluate** — sweep the column-pass kernel over the staged lanes:
+//!    every lane ([`evaluate_chain_batch_into`], refreshing a retained
+//!    result buffer) under [`EvalMode::Full`], only the dirty lane groups
+//!    ([`sweep_chain_batch_incremental`]) under [`EvalMode::Incremental`];
 //! 3. **aggregate** — fold the lane results back into per-node reports
 //!    straight from the batch's knob and arrival columns
 //!    (`Node::finish_epoch_columns_into`), refilling one retained
 //!    [`ClusterEpochReport`] in place, in node-index order.
 //!
-//! Every buffer in the graph — both batches, the kernel output vector, the
-//! per-node lane counts, and the cluster report — is owned by
-//! [`EpochPipeline`] and refilled in place, so a steady-state epoch through
-//! [`EpochPipeline::run_observed`] performs **zero heap allocations**
-//! (`tests/alloc_steady_state.rs` pins this with a counting allocator).
+//! The stages run inline, one after the other, on the calling thread (the
+//! kernel itself still fans out through [`crate::par`] on huge batches).
+//! Every buffer in the loop — the batch, the kernel outputs, the per-node
+//! lane counts, and the cluster report — is owned by the cluster's
+//! `EpochPipeline` and refilled in place, so a steady-state epoch performs
+//! **zero heap allocations** (`tests/alloc_steady_state.rs` pins this with
+//! a counting allocator). Every epoch fuses all lanes into one batch under
+//! one [`SimTuning`];
+//! [`Cluster::add_node`](crate::cluster::Cluster::add_node) keeps that an
+//! invariant by rejecting a node whose tuning differs from the first
+//! node's.
 //!
-//! Generation only touches traffic state, evaluation only reads the staged
-//! batch, and aggregation only folds results — the stages are data-disjoint.
-//! Over a multi-epoch run the producer (the calling thread) stages batch
-//! *N + 1* into the back buffer while a worker thread sweeps the kernel over
-//! batch *N* in the front buffer (the kernel itself still fans out through
-//! [`crate::par`] on huge batches). Buffers swap at each epoch boundary, so
-//! nothing is re-fused or re-allocated per epoch.
+//! **Determinism.** The loop is *bit-identical* to stepping each node's
+//! scalar [`Node::run_epoch`] serially:
 //!
-//! **Determinism.** The pipelined path is *bit-identical* to running
-//! [`Cluster::run_epoch`](crate::cluster::Cluster::run_epoch) serially:
-//!
-//! * every traffic RNG stream is advanced by exactly one actor — the
-//!   producer — in node-index order, the same order the serial path uses,
-//!   so stream positions per epoch are identical;
+//! * every traffic RNG stream is advanced in node-index order, the same
+//!   order the serial path uses, so stream positions per epoch are
+//!   identical;
 //! * evaluation consumes an immutable staged batch and is itself
-//!   lane-deterministic for any thread count (the PR 2/3 contract);
-//! * aggregation runs strictly after the epoch's evaluation joins, in node
-//!   order, and the column fold is bit-identical to the struct fold
+//!   lane-deterministic for any thread count;
+//! * aggregation runs strictly after the epoch's evaluation, in node order,
+//!   and the column fold is bit-identical to the struct fold
 //!   ([`crate::engine::aggregate_node_columns_into`]).
 //!
-//! Overlap therefore changes *when* work happens, never *what* is computed.
 //! `tests/proptests.rs::pipelined_epochs_equal_serial_fused` pins this over
 //! random scenarios, and `tests/substrate_equivalence.rs` over the columnar
 //! staging path specifically.
-//!
-//! **Overlap policy.** Spawning the evaluation worker costs tens of
-//! microseconds per epoch, so overlap only pays when an epoch carries real
-//! work. [`PipelineMode::Auto`] engages it above [`OVERLAP_MIN_LANES`]
-//! staged lanes on multicore hosts and otherwise runs the same stage graph
-//! inline — still ahead of per-epoch
-//! [`Cluster::run_epoch`](crate::cluster::Cluster::run_epoch) calls thanks
-//! to buffer reuse. Heterogeneous model tunings cannot share one batch;
-//! such clusters fall back to the per-node serial path unchanged.
 
 use serde::{Deserialize, Serialize};
 
 use crate::batch::{
-    evaluate_chain_batch, evaluate_chain_batch_into, sweep_chain_batch_incremental, BatchOutputs,
-    ChainBatch,
+    evaluate_chain_batch_into, sweep_chain_batch_incremental, BatchOutputs, ChainBatch,
 };
 use crate::cluster::ClusterEpochReport;
 use crate::engine::{ChainEpochResult, SimTuning};
 use crate::error::SimResult;
 use crate::node::{Node, NodeEpochReport};
-use crate::par;
 
-/// Staged lanes per epoch below which [`PipelineMode::Auto`] keeps the
-/// pipeline inline: the producer's traffic sampling and the kernel sweep
-/// both run in the hundreds of nanoseconds per lane, so the
-/// tens-of-microseconds worker spawn only amortizes on epochs of thousands
-/// of lanes.
-pub const OVERLAP_MIN_LANES: usize = 4096;
-
-/// How a multi-epoch run schedules its stages. Every mode computes
-/// bit-identical results; modes differ only in wall-clock overlap.
+/// How a multi-epoch run schedules its stages. There is one epoch loop, so
+/// this selects nothing: [`Cluster::observe_epochs`](crate::cluster::Cluster::observe_epochs)
+/// accepts and ignores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PipelineMode {
-    /// Overlap when it can pay: multicore host and at least
-    /// [`OVERLAP_MIN_LANES`] staged lanes per epoch.
+    /// The only mode: the inline stage loop.
     #[default]
     Auto,
-    /// Never spawn the evaluation worker; run the stage graph inline.
-    Inline,
-    /// Always overlap generation with evaluation (tests force this to pin
-    /// the overlapped path's bit-equality even on small clusters).
-    Overlapped,
 }
 
 /// How each epoch's staged batch is evaluated. Every mode computes
@@ -109,26 +84,20 @@ pub enum EvalMode {
     Incremental,
 }
 
-/// The double-buffered epoch pipeline. Owns every per-epoch buffer — the
-/// two [`ChainBatch`]es (front = being evaluated, back = being staged), the
-/// kernel result vector, the per-node lane counts, and the retained cluster
-/// report — so multi-epoch runs and repeated [`EpochPipeline::step`] calls
-/// never re-allocate. Under [`EvalMode::Incremental`] the front buffer
-/// doubles as the persistent lane state and `outputs` retains the previous
-/// epoch's kernel results.
+/// The epoch loop's retained state: the persistent [`ChainBatch`], the
+/// kernel outputs, the per-node lane counts, and the cluster report, so
+/// repeated runs never re-allocate. Under [`EvalMode::Incremental`] the
+/// batch doubles as the persistent lane state and `outputs` retains the
+/// previous epoch's kernel results.
 #[derive(Debug, Default)]
-pub struct EpochPipeline {
-    front: ChainBatch,
-    back: ChainBatch,
+pub(crate) struct EpochPipeline {
+    batch: ChainBatch,
     outputs: BatchOutputs,
     /// Retained full-sweep results ([`evaluate_chain_batch_into`] refreshes
     /// this in place each epoch).
     lane_results: Vec<SimResult<ChainEpochResult>>,
-    /// Lanes staged per node for the front buffer, in node-index order.
+    /// Lanes staged per node, in node-index order.
     counts: Vec<usize>,
-    /// Lanes staged per node for the back buffer (overlapped runs stage the
-    /// next epoch while the front is still being aggregated).
-    next_counts: Vec<usize>,
     /// Per-node clean verdicts for the incremental loop's current epoch.
     clean: Vec<bool>,
     /// The retained cluster report: per-node reports are refilled in place
@@ -139,228 +108,68 @@ pub struct EpochPipeline {
 }
 
 impl EpochPipeline {
-    /// A pipeline with empty buffers.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Runs one epoch through the stage graph (inline — a single epoch has
-    /// no next batch to produce in parallel).
-    pub fn step(&mut self, nodes: &mut [Node]) -> ClusterEpochReport {
-        self.run(nodes, 1, PipelineMode::Inline)
-            .pop()
-            .expect("one epoch requested")
-    }
-
-    /// Runs `epochs` lock-step cluster epochs, returning one report per
-    /// epoch in order. See the module docs for the stage graph and the
-    /// determinism argument. Long horizons that only need each report once
-    /// should use [`EpochPipeline::run_observed`] instead and keep memory
-    /// O(1) in the horizon.
-    pub fn run(
-        &mut self,
-        nodes: &mut [Node],
-        epochs: usize,
-        mode: PipelineMode,
-    ) -> Vec<ClusterEpochReport> {
-        let mut reports = Vec::with_capacity(epochs);
-        self.run_with(nodes, epochs, mode, |_, report| reports.push(report));
-        reports
-    }
-
-    /// [`EpochPipeline::run`] with an explicit [`EvalMode`].
-    pub fn run_eval(
-        &mut self,
-        nodes: &mut [Node],
-        epochs: usize,
-        mode: PipelineMode,
-        eval: EvalMode,
-    ) -> Vec<ClusterEpochReport> {
-        let mut reports = Vec::with_capacity(epochs);
-        self.run_with_eval(nodes, epochs, mode, eval, |_, report| reports.push(report));
-        reports
-    }
-
-    /// Streaming form of [`EpochPipeline::run`]: hands each epoch's report
-    /// to `consume(epoch_index, report)` as soon as its aggregate stage
-    /// completes, instead of materializing the whole horizon.
-    pub fn run_with(
-        &mut self,
-        nodes: &mut [Node],
-        epochs: usize,
-        mode: PipelineMode,
-        consume: impl FnMut(usize, ClusterEpochReport),
-    ) {
-        self.run_with_eval(nodes, epochs, mode, EvalMode::Full, consume);
-    }
-
-    /// Streaming form of [`EpochPipeline::run_eval`]: each report is cloned
-    /// out of the pipeline's retained buffer for the consumer. Callers that
-    /// can work from a borrowed view should prefer
-    /// [`EpochPipeline::run_observed`], which hands out `&ClusterEpochReport`
-    /// and keeps the steady-state epoch loop allocation-free.
-    pub fn run_with_eval(
-        &mut self,
-        nodes: &mut [Node],
-        epochs: usize,
-        mode: PipelineMode,
-        eval: EvalMode,
-        mut consume: impl FnMut(usize, ClusterEpochReport),
-    ) {
-        self.run_observed(nodes, epochs, mode, eval, |k, report| {
-            consume(k, report.clone());
-        });
-    }
-
-    /// The zero-copy epoch loop: runs `epochs` lock-step cluster epochs and
-    /// hands each epoch's report to `observe(epoch_index, &report)` as a
-    /// *borrowed view* of the pipeline's retained buffer, valid for the
-    /// duration of the call. In steady state (epoch 1 onwards over an
-    /// unchanged cluster) an observed epoch performs zero heap allocations
-    /// end-to-end: staging writes into persistent columns, the kernel
-    /// refreshes a retained result vector, and aggregation refills the
-    /// retained report in place.
+    /// The epoch loop: runs `epochs` lock-step cluster epochs and hands each
+    /// epoch's report to `observe(epoch_index, &report)` as a *borrowed
+    /// view* of the retained buffer, valid for the duration of the call. In
+    /// steady state (epoch 1 onwards over an unchanged cluster) an epoch
+    /// performs zero heap allocations end-to-end: staging writes into
+    /// persistent columns, the kernel refreshes retained outputs, and
+    /// aggregation refills the retained report in place.
     ///
-    /// The incremental path runs the stage graph inline regardless of
-    /// `mode`: applying deltas in place has a sequential dependency on the
-    /// buffer the previous epoch just evaluated, so there is no second
-    /// buffer to fill ahead — the win comes from skipping kernel work, not
-    /// overlapping it.
-    pub fn run_observed(
+    /// Epoch 0 of every run restages every load, and under
+    /// [`EvalMode::Incremental`] also invalidates the output cache, forcing
+    /// one full priming sweep: a resumed run, a fresh cluster, or one whose
+    /// chain layout changed between runs all start from the same primed
+    /// state, which is how resumed-incremental stays bit-identical to
+    /// uninterrupted runs. Later epochs restage over the previous window's
+    /// lanes at the same positions, so unchanged loads skip their column
+    /// writes; the incremental sweep then re-runs only the dirty lane
+    /// groups and aggregation re-folds only nodes with a dirty lane.
+    pub(crate) fn run_observed(
         &mut self,
         nodes: &mut [Node],
         epochs: usize,
-        mode: PipelineMode,
         eval: EvalMode,
         mut observe: impl FnMut(usize, &ClusterEpochReport),
     ) {
-        if epochs == 0 {
-            return;
-        }
-        let Some(tuning) = shared_tuning(nodes) else {
-            // Heterogeneous model tunings (or an empty cluster): per-node
-            // batches, serial, identical to the pre-pipeline fallback.
-            for k in 0..epochs {
-                self.report = epoch_unfused(nodes);
-                observe(k, &self.report);
-            }
-            return;
-        };
-        if eval == EvalMode::Incremental {
-            self.run_incremental(nodes, epochs, &tuning, observe);
-            return;
-        }
-
-        // Prime the pipeline: stage epoch 0 into the front buffer. A fresh
-        // run never reuses load columns — the cluster layout may have
-        // changed since the buffer was last staged.
-        stage(nodes, &mut self.front, false, &mut self.counts);
-        let overlap = match mode {
-            PipelineMode::Inline => false,
-            PipelineMode::Overlapped => true,
-            PipelineMode::Auto => {
-                self.front.len() >= OVERLAP_MIN_LANES && par::default_threads() > 1
-            }
-        };
-
+        // `Cluster::add_node` keeps every node on the first node's tuning.
+        let tuning = nodes
+            .first()
+            .map_or_else(SimTuning::default, |n| *n.tuning());
         for k in 0..epochs {
-            let last = k + 1 == epochs;
-            if overlap && !last {
-                // Split borrows: the worker sweeps the front buffer while
-                // the producer advances traffic and stages the back buffer.
-                // The back buffer's columns are two windows old, so loads
-                // are always rewritten (`reuse_clean_loads = false`).
-                let front = &self.front;
-                let back = &mut self.back;
-                let lane_results = &mut self.lane_results;
-                let next_counts = &mut self.next_counts;
-                std::thread::scope(|s| {
-                    let worker =
-                        s.spawn(move || evaluate_chain_batch_into(front, &tuning, lane_results));
-                    stage(nodes, back, false, next_counts);
-                    worker.join().expect("kernel sweep must not panic");
-                });
-                aggregate_into(
-                    nodes,
-                    &self.front,
-                    &self.counts,
-                    &self.lane_results,
-                    &mut self.report,
-                );
-                observe(k, &self.report);
-                std::mem::swap(&mut self.front, &mut self.back);
-                std::mem::swap(&mut self.counts, &mut self.next_counts);
-            } else {
-                evaluate_chain_batch_into(&self.front, &tuning, &mut self.lane_results);
-                aggregate_into(
-                    nodes,
-                    &self.front,
-                    &self.counts,
-                    &self.lane_results,
-                    &mut self.report,
-                );
-                observe(k, &self.report);
-                if !last {
-                    // Single persistent buffer: its lanes hold this window's
-                    // values at the same positions, so unchanged loads can
-                    // skip their column writes.
-                    stage(nodes, &mut self.front, true, &mut self.counts);
+            stage(nodes, &mut self.batch, k > 0, &mut self.counts);
+            let (results, clean) = match eval {
+                EvalMode::Full => {
+                    evaluate_chain_batch_into(&self.batch, &tuning, &mut self.lane_results);
+                    (self.lane_results.as_slice(), None)
                 }
-            }
-        }
-    }
-
-    /// The incremental epoch loop: the front buffer is persistent epoch
-    /// state. Epoch 0 restages every lane (loads always rewritten, and the
-    /// invalidated output cache forces one full priming sweep); each later
-    /// epoch lands the generate stage's deltas in place — knob, cost, and
-    /// partition columns through the self-comparing setters, load columns
-    /// only for chains whose [`LoadDelta`](crate::traffic::LoadDelta)
-    /// reported a change — and sweeps only the dirty lane groups.
-    ///
-    /// Re-priming at epoch 0 (rather than trusting buffer state from a
-    /// previous `run` call) makes every run's first epoch a full sweep: a
-    /// resumed run, a fresh pipeline, or a cluster whose chain layout
-    /// changed between runs all start from the same primed state, which is
-    /// how resumed-incremental stays bit-identical to uninterrupted runs.
-    fn run_incremental(
-        &mut self,
-        nodes: &mut [Node],
-        epochs: usize,
-        tuning: &SimTuning,
-        mut observe: impl FnMut(usize, &ClusterEpochReport),
-    ) {
-        for k in 0..epochs {
-            stage(nodes, &mut self.front, k > 0, &mut self.counts);
-            // Per-node clean verdicts: read after the deltas land and before
-            // the sweep clears the flags. Skipped on the priming epoch,
-            // which recomputes (and retains) every node's report.
-            let cached = if k == 0 {
-                self.outputs.invalidate();
-                false
-            } else {
-                node_clean_into(&self.front, &self.counts, &mut self.clean);
-                true
+                EvalMode::Incremental => {
+                    // Per-node clean verdicts: read after the deltas land
+                    // and before the sweep clears the flags. Skipped on the
+                    // priming epoch, which recomputes (and retains) every
+                    // node's report.
+                    let clean = if k == 0 {
+                        self.outputs.invalidate();
+                        None
+                    } else {
+                        node_clean_into(&self.batch, &self.counts, &mut self.clean);
+                        Some(self.clean.as_slice())
+                    };
+                    sweep_chain_batch_incremental(&mut self.batch, &tuning, &mut self.outputs);
+                    (self.outputs.results(), clean)
+                }
             };
-            sweep_chain_batch_incremental(&mut self.front, tuning, &mut self.outputs);
             aggregate_cached_into(
                 nodes,
-                &self.front,
+                &self.batch,
                 &self.counts,
-                self.outputs.results(),
-                cached.then_some(self.clean.as_slice()),
+                results,
+                clean,
                 &mut self.report,
             );
             observe(k, &self.report);
         }
     }
-}
-
-/// The model tuning shared by every node, or `None` when nodes disagree (or
-/// the cluster is empty) and lanes cannot fuse into one batch.
-fn shared_tuning(nodes: &[Node]) -> Option<SimTuning> {
-    let first = *nodes.first()?.tuning();
-    nodes.iter().all(|n| *n.tuning() == first).then_some(first)
 }
 
 /// Stage 1 — generate: advance every node's traffic one control window, in
@@ -381,25 +190,6 @@ fn stage(
     writer.finish();
 }
 
-/// Stage 3 — aggregate: fold lane results back into per-node reports, in
-/// node-index order, refilling the retained `report` in place.
-fn aggregate_into(
-    nodes: &mut [Node],
-    batch: &ChainBatch,
-    counts: &[usize],
-    results: &[SimResult<ChainEpochResult>],
-    report: &mut ClusterEpochReport,
-) {
-    report
-        .nodes
-        .resize_with(nodes.len(), NodeEpochReport::default);
-    let mut lane = 0;
-    for ((node, &n), out) in nodes.iter_mut().zip(counts).zip(report.nodes.iter_mut()) {
-        node.finish_epoch_columns_into(batch, lane, &results[lane..lane + n], out);
-        lane += n;
-    }
-}
-
 /// Per-node clean verdicts over a delta-staged `batch`: node `i` is clean
 /// iff *none* of its lanes carries a dirty flag. Lane-level (not
 /// group-level) dirtiness is the right criterion — a clean node sharing an
@@ -414,12 +204,13 @@ fn node_clean_into(batch: &ChainBatch, counts: &[usize], out: &mut Vec<bool>) {
     }
 }
 
-/// [`aggregate_into`] with the incremental loop's clean-node shortcut:
-/// clean nodes (`clean[i]` true) keep their retained report slot untouched
-/// — the epoch fold is pure, and a clean node's inputs this epoch are
-/// bitwise those of the last — while dirty nodes re-fold in place.
-/// `clean = None` (the priming epoch, or a report that does not yet cover
-/// the cluster) re-folds everything.
+/// Stage 3 — aggregate: fold lane results back into per-node reports, in
+/// node-index order, refilling the retained `report` in place. Clean nodes
+/// (`clean[i]` true) keep their retained report slot untouched — the epoch
+/// fold is pure, and a clean node's inputs this epoch are bitwise those of
+/// the last — while dirty nodes re-fold in place. `clean = None` (a full
+/// sweep, the priming epoch, or a report that does not yet cover the
+/// cluster) re-folds everything.
 fn aggregate_cached_into(
     nodes: &mut [Node],
     batch: &ChainBatch,
@@ -450,35 +241,14 @@ fn aggregate_cached_into(
     }
 }
 
-/// Fallback epoch for clusters whose nodes carry heterogeneous model
-/// tunings: each node evaluates its own batch with its own tuning, serially.
-fn epoch_unfused(nodes: &mut [Node]) -> ClusterEpochReport {
-    ClusterEpochReport {
-        nodes: nodes
-            .iter_mut()
-            .map(|node| {
-                let tuning = *node.tuning();
-                let p = node.prepare_epoch();
-                let results: Vec<ChainEpochResult> =
-                    evaluate_chain_batch(&ChainBatch::from_configs(&p.configs), &tuning)
-                        .into_iter()
-                        .map(|r| r.expect("node-resident knobs were validated by set_knobs"))
-                        .collect();
-                node.finish_epoch(&p.configs, &p.arrivals, &results)
-            })
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chain::ChainSpec;
     use crate::cluster::Cluster;
     use crate::cpu::ChainId;
-    use crate::engine::{KnobSettings, PlatformPolicy, SimTuning};
+    use crate::engine::{KnobSettings, PlatformPolicy};
     use crate::flow::FlowSet;
-    use crate::power::PowerModel;
 
     fn testbed() -> Cluster {
         Cluster::paper_testbed(PlatformPolicy::greennfv(), 21)
@@ -486,17 +256,11 @@ mod tests {
 
     #[test]
     fn multi_epoch_run_equals_serial_epoch_loop() {
-        for mode in [
-            PipelineMode::Auto,
-            PipelineMode::Inline,
-            PipelineMode::Overlapped,
-        ] {
-            let mut pipelined = testbed();
-            let mut serial = testbed();
-            let got = pipelined.run_epochs_with(5, mode);
-            let expect: Vec<_> = (0..5).map(|_| serial.run_epoch()).collect();
-            assert_eq!(got, expect, "mode {mode:?} diverged from serial epochs");
-        }
+        let mut pipelined = testbed();
+        let mut serial = testbed();
+        let got = pipelined.run_epochs(5);
+        let expect: Vec<_> = (0..5).map(|_| serial.run_epoch()).collect();
+        assert_eq!(got, expect, "multi-epoch run diverged from serial epochs");
     }
 
     #[test]
@@ -519,51 +283,14 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_tunings_fall_back_per_node() {
-        // Two nodes with different model tunings cannot fuse; the pipeline
-        // must still match per-node serial epochs exactly.
-        let build = || {
-            let mut c = Cluster::new();
-            for (i, epoch_s) in [30.0, 60.0].into_iter().enumerate() {
-                let tuning = SimTuning {
-                    epoch_s,
-                    ..SimTuning::default()
-                };
-                let mut node = crate::node::Node::new(
-                    i as u32,
-                    tuning,
-                    PowerModel::default(),
-                    PlatformPolicy::greennfv(),
-                );
-                node.add_chain(
-                    ChainSpec::canonical_three(ChainId(0)),
-                    FlowSet::evaluation_five_flows(),
-                    KnobSettings::default_tuned(),
-                    33 + i as u64,
-                )
-                .unwrap();
-                c.add_node(node);
-            }
-            c
-        };
-        let mut pipelined = build();
-        let mut serial = build();
-        let got = pipelined.run_epochs(3);
-        for (epoch, report) in got.iter().enumerate() {
-            let expect: Vec<_> = (0..serial.len())
-                .map(|i| serial.node_mut(i).unwrap().run_epoch())
-                .collect();
-            assert_eq!(report.nodes, expect, "epoch {epoch}");
-        }
-    }
-
-    #[test]
     fn streaming_matches_collected_reports() {
         let mut collected = testbed();
         let mut streamed = testbed();
         let expect = collected.run_epochs(4);
         let mut got = Vec::new();
-        streamed.stream_epochs(4, PipelineMode::Inline, |k, r| got.push((k, r)));
+        streamed.observe_epochs(4, PipelineMode::Auto, EvalMode::Full, |k, r| {
+            got.push((k, r.clone()));
+        });
         assert_eq!(got.len(), 4);
         for (k, (idx, report)) in got.into_iter().enumerate() {
             assert_eq!(idx, k, "epoch indices arrive in order");
@@ -578,9 +305,9 @@ mod tests {
         for eval in [EvalMode::Full, EvalMode::Incremental] {
             let mut collected = testbed();
             let mut observed = testbed();
-            let expect = collected.run_epochs_eval(4, PipelineMode::Inline, eval);
+            let expect = collected.run_epochs_eval(4, eval);
             let mut seen = 0;
-            observed.observe_epochs(4, PipelineMode::Inline, eval, |k, r| {
+            observed.observe_epochs(4, PipelineMode::Auto, eval, |k, r| {
                 assert_eq!(r, &expect[k], "epoch {k} under {eval:?}");
                 seen += 1;
             });
@@ -591,18 +318,12 @@ mod tests {
     #[test]
     fn incremental_epochs_equal_serial_epochs() {
         // The dirty-tracked path must be bit-identical to per-epoch serial
-        // runs for every pipeline mode (mode is a no-op under Incremental).
-        for mode in [
-            PipelineMode::Auto,
-            PipelineMode::Inline,
-            PipelineMode::Overlapped,
-        ] {
-            let mut incremental = testbed();
-            let mut serial = testbed();
-            let got = incremental.run_epochs_eval(6, mode, EvalMode::Incremental);
-            let expect: Vec<_> = (0..6).map(|_| serial.run_epoch()).collect();
-            assert_eq!(got, expect, "mode {mode:?} diverged under Incremental");
-        }
+        // runs.
+        let mut incremental = testbed();
+        let mut serial = testbed();
+        let got = incremental.run_epochs_eval(6, EvalMode::Incremental);
+        let expect: Vec<_> = (0..6).map(|_| serial.run_epoch()).collect();
+        assert_eq!(got, expect, "diverged under Incremental");
     }
 
     #[test]
@@ -613,46 +334,9 @@ mod tests {
         let mut incremental = testbed();
         let mut serial = testbed();
         for chunk in [3usize, 1, 4] {
-            let got = incremental.run_epochs_eval(chunk, PipelineMode::Auto, EvalMode::Incremental);
+            let got = incremental.run_epochs_eval(chunk, EvalMode::Incremental);
             let expect: Vec<_> = (0..chunk).map(|_| serial.run_epoch()).collect();
             assert_eq!(got, expect, "chunk {chunk}");
-        }
-    }
-
-    #[test]
-    fn incremental_falls_back_for_heterogeneous_tunings() {
-        let build = || {
-            let mut c = Cluster::new();
-            for (i, epoch_s) in [30.0, 60.0].into_iter().enumerate() {
-                let tuning = SimTuning {
-                    epoch_s,
-                    ..SimTuning::default()
-                };
-                let mut node = crate::node::Node::new(
-                    i as u32,
-                    tuning,
-                    PowerModel::default(),
-                    PlatformPolicy::greennfv(),
-                );
-                node.add_chain(
-                    ChainSpec::canonical_three(ChainId(0)),
-                    FlowSet::evaluation_five_flows(),
-                    KnobSettings::default_tuned(),
-                    33 + i as u64,
-                )
-                .unwrap();
-                c.add_node(node);
-            }
-            c
-        };
-        let mut incremental = build();
-        let mut serial = build();
-        let got = incremental.run_epochs_eval(3, PipelineMode::Auto, EvalMode::Incremental);
-        for (epoch, report) in got.iter().enumerate() {
-            let expect: Vec<_> = (0..serial.len())
-                .map(|i| serial.node_mut(i).unwrap().run_epoch())
-                .collect();
-            assert_eq!(report.nodes, expect, "epoch {epoch}");
         }
     }
 
@@ -688,7 +372,7 @@ mod tests {
         for eval in [EvalMode::Full, EvalMode::Incremental] {
             let mut reshaped = testbed();
             let mut serial = testbed();
-            reshaped.run_epochs_eval(2, PipelineMode::Inline, eval);
+            reshaped.run_epochs_eval(2, eval);
             (0..2).for_each(|_| {
                 serial.run_epoch();
             });
@@ -708,7 +392,7 @@ mod tests {
                         .unwrap();
                 }
             }
-            let got = reshaped.run_epochs_eval(3, PipelineMode::Inline, eval);
+            let got = reshaped.run_epochs_eval(3, eval);
             let expect: Vec<_> = (0..3).map(|_| serial.run_epoch()).collect();
             assert_eq!(got, expect, "{eval:?} after reshape");
         }

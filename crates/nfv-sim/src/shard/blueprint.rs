@@ -152,7 +152,7 @@ impl ClusterBlueprint {
     pub fn build(&self) -> SimResult<Cluster> {
         let mut cluster = Cluster::new();
         for node in &self.nodes {
-            cluster.add_node(node.build(self.tuning, self.policy)?);
+            cluster.add_node(node.build(self.tuning, self.policy)?)?;
         }
         Ok(cluster)
     }

@@ -1,7 +1,7 @@
 //! Multi-process sharded clusters with a bit-equal merge.
 //!
-//! The pipeline (epoch overlap) and incremental evaluation scale one
-//! process; this module is the partitioning layer above them. A
+//! The fused epoch loop and incremental evaluation scale one process;
+//! this module is the partitioning layer above them. A
 //! [`ShardedCluster`] splits a cluster's nodes into contiguous slices,
 //! spawns one worker process per slice (`shard_worker` binary or `repro
 //! shard-worker`), ships each worker its [`ClusterBlueprint`] slice and

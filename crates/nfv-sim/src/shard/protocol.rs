@@ -319,7 +319,7 @@ fn run_task(task: &WorkerTask, output: &mut impl std::io::Write) -> SimResult<()
     }
     let mut write_err: Option<FrameError> = None;
     let mut sent: u64 = 0;
-    cluster.stream_epochs_eval(
+    cluster.observe_epochs(
         task.epochs as usize,
         PipelineMode::Auto,
         task.eval,

@@ -25,7 +25,6 @@ use crate::engine::ChainLoad;
 use crate::error::{SimError, SimResult};
 use crate::flow::{ArrivalPattern, FlowSet, FlowSpec};
 use crate::packet::{FiveTuple, Packet, MAX_PACKET_SIZE, MIN_PACKET_SIZE};
-use crate::simd::{wide_ln, F64x8, WideLane, WIDTH};
 
 /// Whether the load sampled for a window differs from the previous window's.
 ///
@@ -258,53 +257,12 @@ fn flow_window_packets(f: &FlowSpec, window_s: f64, rng: &mut StdRng, on_state: 
 }
 
 /// One scalar Box–Muller standard normal draw: two uniforms, `std` math.
-/// This is the **shipped** sampling path of [`TrafficGen`] (Poisson counts)
-/// and [`TraceSource`] (rate jitter); see [`standard_normal_fill_wide`] for
-/// why it stays on `std::f64::ln`/`cos`.
+/// This is the sampling path of [`TrafficGen`] (Poisson counts) and
+/// [`TraceSource`] (rate jitter).
 pub fn standard_normal(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.random::<f64>().max(1e-12);
     let u2: f64 = rng.random();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
-/// Batched Box–Muller: fills `out` with standard normal samples, drawing the
-/// `u1, u2` uniform pairs from `rng` in **exactly the scalar order** (so the
-/// stream position after `out.len()` samples matches `out.len()` calls of
-/// [`standard_normal`]) and computing the log stage through the
-/// [`wide_ln`] polynomial kernel eight samples at a time. `sqrt` is a single
-/// exact IEEE-754 operation and `cos` stays scalar, so `wide_ln` is the only
-/// stage where the wide and scalar paths can diverge.
-///
-/// **Why the shipped path keeps `std` math.** `wide_ln` is within a few ULP
-/// of `std::f64::ln` but not bit-identical (`tests/wide_math.rs` pins both
-/// that distance and this kernel's resulting sample error). Every golden
-/// artifact and checkpoint in the repo embeds the `std`-math sample stream,
-/// and traffic generation is nowhere near the epoch bottleneck — the columnar
-/// substrate already reduced it to invariant hoisting plus two uniform draws
-/// per Poisson flow — so swapping the kernel in would re-bless every golden
-/// for no measurable end-to-end win. The wide kernel ships for bulk-draw
-/// callers and as the pinned reference for that trade-off.
-pub fn standard_normal_fill_wide(rng: &mut StdRng, out: &mut [f64]) {
-    let mut u1 = [0.0f64; WIDTH];
-    let mut u2 = [0.0f64; WIDTH];
-    let mut chunks = out.chunks_exact_mut(WIDTH);
-    for chunk in &mut chunks {
-        for k in 0..WIDTH {
-            u1[k] = rng.random::<f64>().max(1e-12);
-            u2[k] = rng.random();
-        }
-        let neg2ln = F64x8::splat(-2.0) * wide_ln(F64x8::load(&u1, 0));
-        for (k, z) in chunk.iter_mut().enumerate() {
-            *z = neg2ln.lane(k).sqrt() * (2.0 * std::f64::consts::PI * u2[k]).cos();
-        }
-    }
-    // Scalar tail runs the same generic polynomial (`wide_ln::<f64>`), so
-    // the wide/tail split cannot shift bits — the simd module's contract.
-    for z in chunks.into_remainder() {
-        let u1: f64 = rng.random::<f64>().max(1e-12);
-        let u2: f64 = rng.random();
-        *z = (-2.0 * wide_ln(u1)).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1206,27 +1164,6 @@ duration_s,rate_pps,packet_size,burstiness
         assert_eq!(load.arrival_pps, TrafficGen::window_rate_pps(&window, 1.0));
         assert_eq!(load.mean_packet_size, fs.mean_packet_size());
         assert_eq!(load.burstiness, fs.burstiness());
-    }
-
-    #[test]
-    fn wide_normal_draws_match_scalar_stream_order() {
-        // Same seed: the wide kernel consumes exactly the scalar uniform
-        // order, so the RNG states coincide afterwards — a wide-filled
-        // buffer can replace N scalar draws without perturbing the stream.
-        let mut a = StdRng::seed_from_u64(11);
-        let mut b = StdRng::seed_from_u64(11);
-        let mut wide = [0.0; 21]; // full chunks plus a 5-lane tail
-        standard_normal_fill_wide(&mut a, &mut wide);
-        for (i, w) in wide.iter().enumerate() {
-            let s = standard_normal(&mut b);
-            // Values agree to ULP-scale tolerance; `tests/wide_math.rs`
-            // pins the exact distance.
-            assert!(
-                (w - s).abs() <= 1e-12 * s.abs().max(1.0),
-                "sample {i}: {w} vs {s}"
-            );
-        }
-        assert_eq!(a.state(), b.state());
     }
 
     #[test]

@@ -31,10 +31,10 @@ fn main() {
         scenario.evaluation
     );
 
-    // Full sweep: every lane, every epoch, through the pipelined runtime.
+    // Full sweep: every lane, every epoch, through the epoch loop.
     let mut full = scenario.build_cluster().expect("scenario builds");
     let t0 = Instant::now();
-    let full_reports = full.run_epochs_eval(horizon, PipelineMode::Auto, EvalMode::Full);
+    let full_reports = full.run_epochs_eval(horizon, EvalMode::Full);
     let full_dt = t0.elapsed();
 
     // Incremental: epoch 0 primes (full sweep + cache fill); afterwards the
@@ -43,7 +43,7 @@ fn main() {
     // groups and everything else scatter-copies from the retained outputs.
     let mut inc = scenario.build_cluster().expect("scenario builds");
     let t0 = Instant::now();
-    let inc_reports = inc.run_epochs_eval(horizon, PipelineMode::Auto, EvalMode::Incremental);
+    let inc_reports = inc.run_epochs_eval(horizon, EvalMode::Incremental);
     let inc_dt = t0.elapsed();
 
     assert_eq!(
@@ -68,8 +68,7 @@ fn main() {
     // reports are bit-identical to the uninterrupted stream.
     let kill_at = horizon / 3;
     let mut first = scenario.build_cluster().expect("scenario builds");
-    let mut resumed_reports =
-        first.run_epochs_eval(kill_at, PipelineMode::Auto, EvalMode::Incremental);
+    let mut resumed_reports = first.run_epochs_eval(kill_at, EvalMode::Incremental);
     let cursors: Vec<String> = (0..scenario.nodes.len())
         .map(|i| {
             let cursor = first.node_mut(i).expect("node index").cursor();
@@ -87,11 +86,7 @@ fn main() {
             .restore_cursor(&cursor)
             .expect("cursor matches the rebuilt node");
     }
-    resumed_reports.extend(second.run_epochs_eval(
-        horizon - kill_at,
-        PipelineMode::Auto,
-        EvalMode::Incremental,
-    ));
+    resumed_reports.extend(second.run_epochs_eval(horizon - kill_at, EvalMode::Incremental));
     assert_eq!(
         full_reports, resumed_reports,
         "killed-and-resumed incremental run must match the uninterrupted one"

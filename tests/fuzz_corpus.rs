@@ -86,13 +86,8 @@ fn corpus_full_evaluation_matches_incremental_bit_for_bit() {
     for sc in corpus(CORPUS_SEED, CORPUS_N) {
         let mut full = sc.build_cluster().expect("corpus scenario builds");
         let mut inc = sc.build_cluster().expect("corpus scenario builds twice");
-        let full_reports =
-            full.run_epochs_eval(sc.epochs as usize, PipelineMode::Auto, EvalMode::Full);
-        let inc_reports = inc.run_epochs_eval(
-            sc.epochs as usize,
-            PipelineMode::Auto,
-            EvalMode::Incremental,
-        );
+        let full_reports = full.run_epochs_eval(sc.epochs as usize, EvalMode::Full);
+        let inc_reports = inc.run_epochs_eval(sc.epochs as usize, EvalMode::Incremental);
         assert_eq!(
             full_reports, inc_reports,
             "{}: incremental evaluation diverged from full",

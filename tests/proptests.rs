@@ -338,12 +338,10 @@ proptest! {
         }
     }
 
-    /// Differential harness for the pipelined epoch runtime: for any
-    /// generated scenario, a single `Cluster::run_epochs` call — in both the
-    /// inline and the forced-overlap (producer thread + double-buffered
-    /// batches) modes — is *exactly* equal, epoch by epoch and node by node,
-    /// to stepping `Cluster::run_epoch` serially and to the per-node scalar
-    /// path. Every named registry scenario gets the same check in
+    /// Differential harness for the epoch loop: for any generated
+    /// scenario, a single multi-epoch `Cluster::run_epochs` call is
+    /// *exactly* equal, epoch by epoch and node by node, to stepping
+    /// `Cluster::run_epoch` serially and to the per-node scalar path. Every named registry scenario gets the same check in
     /// `tests/scenarios.rs`; this covers the random space between them.
     #[test]
     fn pipelined_epochs_equal_serial_fused(
@@ -363,16 +361,11 @@ proptest! {
         let scenario = scenario_from_raw(&nodes, seed, epochs);
         let mut serial = scenario.build_cluster().expect("generated scenarios build");
         let mut inline_run = scenario.build_cluster().expect("second build");
-        let mut overlapped = scenario.build_cluster().expect("third build");
 
         let expect: Vec<ClusterEpochReport> =
             (0..epochs).map(|_| serial.run_epoch()).collect();
-        let inline_reports =
-            inline_run.run_epochs_with(epochs as usize, PipelineMode::Inline);
+        let inline_reports = inline_run.run_epochs(epochs as usize);
         prop_assert_eq!(&inline_reports, &expect, "inline pipeline diverged");
-        let overlapped_reports =
-            overlapped.run_epochs_with(epochs as usize, PipelineMode::Overlapped);
-        prop_assert_eq!(&overlapped_reports, &expect, "overlapped pipeline diverged");
     }
 
     /// Differential harness for the dirty-tracked incremental sweep at the
@@ -520,12 +513,12 @@ proptest! {
 
         let mut full = scenario.build_cluster().expect("full build");
         let full_reports =
-            full.run_epochs_eval(epochs as usize, PipelineMode::Auto, EvalMode::Full);
+            full.run_epochs_eval(epochs as usize, EvalMode::Full);
         prop_assert_eq!(&full_reports, &expect, "full evaluation diverged from serial");
 
         let mut incremental = scenario.build_cluster().expect("incremental build");
         let inc_reports =
-            incremental.run_epochs_eval(epochs as usize, PipelineMode::Auto, EvalMode::Incremental);
+            incremental.run_epochs_eval(epochs as usize, EvalMode::Incremental);
         prop_assert_eq!(&inc_reports, &expect, "incremental evaluation diverged from serial");
 
         // Kill at an arbitrary interior epoch, serialize every node's cursor,
@@ -534,7 +527,7 @@ proptest! {
         let kill_at = 1 + (kill_raw as usize % (epochs as usize - 1));
         let mut interrupted = scenario.build_cluster().expect("interrupted build");
         let mut resumed_reports =
-            interrupted.run_epochs_eval(kill_at, PipelineMode::Auto, EvalMode::Incremental);
+            interrupted.run_epochs_eval(kill_at, EvalMode::Incremental);
         let cursors: Vec<String> = (0..interrupted.len())
             .map(|i| {
                 serde_json::to_string(&interrupted.node_mut(i).unwrap().cursor())
@@ -552,10 +545,7 @@ proptest! {
                 .restore_cursor(&cursor)
                 .expect("cursor restores");
         }
-        resumed_reports.extend(resumed.run_epochs_eval(
-            epochs as usize - kill_at,
-            PipelineMode::Auto,
-            EvalMode::Incremental,
+        resumed_reports.extend(resumed.run_epochs_eval(epochs as usize - kill_at, EvalMode::Incremental,
         ));
         prop_assert_eq!(&resumed_reports, &expect, "killed-and-resumed run diverged");
     }

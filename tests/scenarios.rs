@@ -25,13 +25,12 @@ fn check_scenario(name: &str) {
     scenario.validate().expect("registry scenario validates");
 
     // Fused cluster epochs == serial per-node epochs, bit for bit, for the
-    // scenario's full horizon — and the pipelined multi-epoch runtime
-    // (forced into its overlapped producer/consumer mode) == both.
+    // scenario's full horizon — and one multi-epoch run of the epoch loop
+    // == both.
     let mut fused = scenario.build_cluster().expect("scenario builds");
     let mut serial = scenario.build_cluster().expect("scenario builds twice");
     let mut pipelined = scenario.build_cluster().expect("scenario builds thrice");
-    let pipelined_reports =
-        pipelined.run_epochs_with(scenario.epochs as usize, PipelineMode::Overlapped);
+    let pipelined_reports = pipelined.run_epochs(scenario.epochs as usize);
     for epoch in 0..scenario.epochs {
         let fused_report = fused.run_epoch();
         let serial_reports: Vec<NodeEpochReport> = (0..serial.len())
@@ -150,11 +149,7 @@ fn diurnal_low_churn() {
     // full horizon (check_scenario pinned the full/pipelined paths already).
     let mut incremental = scenario.build_cluster().unwrap();
     let mut serial = scenario.build_cluster().unwrap();
-    let reports = incremental.run_epochs_eval(
-        scenario.epochs as usize,
-        PipelineMode::Auto,
-        EvalMode::Incremental,
-    );
+    let reports = incremental.run_epochs_eval(scenario.epochs as usize, EvalMode::Incremental);
     for (epoch, report) in reports.iter().enumerate() {
         let expect: Vec<NodeEpochReport> = (0..serial.len())
             .map(|i| serial.node_mut(i).unwrap().run_epoch())
@@ -298,11 +293,7 @@ fn fleet_diurnal_1000() {
     // scale (check_scenario pinned the full/pipelined paths already).
     let mut incremental = scenario.build_cluster().unwrap();
     let mut serial = scenario.build_cluster().unwrap();
-    let reports = incremental.run_epochs_eval(
-        scenario.epochs as usize,
-        PipelineMode::Auto,
-        EvalMode::Incremental,
-    );
+    let reports = incremental.run_epochs_eval(scenario.epochs as usize, EvalMode::Incremental);
     for (epoch, report) in reports.iter().enumerate() {
         let expect: Vec<NodeEpochReport> = (0..serial.len())
             .map(|i| serial.node_mut(i).unwrap().run_epoch())
@@ -370,11 +361,10 @@ fn checkpoint_resume_incremental() {
     let kill_at = epochs / 2;
 
     let mut full = scenario.build_cluster().unwrap();
-    let uninterrupted = full.run_epochs_eval(epochs, PipelineMode::Auto, EvalMode::Full);
+    let uninterrupted = full.run_epochs_eval(epochs, EvalMode::Full);
 
     let mut interrupted = scenario.build_cluster().unwrap();
-    let mut reports =
-        interrupted.run_epochs_eval(kill_at, PipelineMode::Auto, EvalMode::Incremental);
+    let mut reports = interrupted.run_epochs_eval(kill_at, EvalMode::Incremental);
     // "Kill": serialize every node's cursor, drop the live cluster.
     let cursors: Vec<String> = (0..interrupted.len())
         .map(|i| serde_json::to_string(&interrupted.node_mut(i).unwrap().cursor()).unwrap())
@@ -390,11 +380,7 @@ fn checkpoint_resume_incremental() {
             .restore_cursor(&cursor)
             .unwrap();
     }
-    reports.extend(resumed.run_epochs_eval(
-        epochs - kill_at,
-        PipelineMode::Auto,
-        EvalMode::Incremental,
-    ));
+    reports.extend(resumed.run_epochs_eval(epochs - kill_at, EvalMode::Incremental));
     assert_eq!(reports, uninterrupted);
 }
 

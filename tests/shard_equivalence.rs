@@ -35,7 +35,7 @@ fn fused_reports(
     eval: EvalMode,
 ) -> Vec<ClusterEpochReport> {
     let mut cluster = blueprint.build().expect("blueprint builds");
-    cluster.run_epochs_eval(epochs, PipelineMode::Auto, eval)
+    cluster.run_epochs_eval(epochs, eval)
 }
 
 /// Multi-process run over the same blueprint.

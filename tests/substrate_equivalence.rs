@@ -1,13 +1,13 @@
 //! Differential harness for the columnar epoch substrate (PR 10).
 //!
-//! The substrate replaced the tuple-staging generate path (`PreparedNode`
+//! The substrate replaced a tuple-staging generate path (per-node config
 //! vectors copied into the batch by a fill pass) with `LaneWriter` staging
 //! straight into persistent `ChainBatch` columns, and the struct-based
 //! aggregate fold with `aggregate_node_columns_into` over the batch's knob
 //! columns. These tests pin the whole staged pipeline — generate → stage →
 //! sweep → aggregate — bit-equal to the scalar per-node reference
-//! (`Node::run_epoch`), across random cluster shapes, pipeline modes, eval
-//! modes, and kernel thread counts.
+//! (`Node::run_epoch`), across random cluster shapes, eval modes, and
+//! kernel thread counts.
 
 use nfv_sim::prelude::*;
 use proptest::prelude::*;
@@ -60,15 +60,15 @@ fn cluster_from_raw(nodes: &[(u32, Vec<ChainRaw>)], seed: u64) -> Cluster {
             node.add_chain(spec, flows, knobs, seed.wrapping_add((ni * 7 + ci) as u64))
                 .expect("generated knobs fit a fresh node");
         }
-        cluster.add_node(node);
+        cluster.add_node(node).expect("one shared tuning");
     }
     cluster
 }
 
 proptest! {
-    /// The staged columnar pipeline equals the scalar per-node path for
-    /// every (pipeline mode × eval mode) combination, epoch by epoch, node
-    /// by node, bit for bit — including the borrowed-view observer loop.
+    /// The staged columnar epoch loop equals the scalar per-node path under
+    /// both eval modes, epoch by epoch, node by node, bit for bit, through
+    /// the borrowed-view observer.
     #[test]
     fn staged_epochs_equal_serial_node_epochs(
         nodes in proptest::collection::vec(
@@ -94,20 +94,18 @@ proptest! {
             })
             .collect();
 
-        for mode in [PipelineMode::Inline, PipelineMode::Overlapped] {
-            for eval in [EvalMode::Full, EvalMode::Incremental] {
-                let mut staged = cluster_from_raw(&nodes, seed);
-                let mut seen: Vec<(usize, Vec<NodeEpochReport>)> = Vec::new();
-                staged.observe_epochs(epochs, mode, eval, |k, report| {
-                    seen.push((k, report.nodes.clone()));
-                });
-                prop_assert_eq!(seen.len(), epochs, "{:?}/{:?}", mode, eval);
-                for (k, nodes) in &seen {
-                    prop_assert_eq!(
-                        nodes, &expect[*k],
-                        "epoch {} under {:?}/{:?}", k, mode, eval
-                    );
-                }
+        for eval in [EvalMode::Full, EvalMode::Incremental] {
+            let mut staged = cluster_from_raw(&nodes, seed);
+            let mut seen: Vec<(usize, Vec<NodeEpochReport>)> = Vec::new();
+            staged.observe_epochs(epochs, PipelineMode::Auto, eval, |k, report| {
+                seen.push((k, report.nodes.clone()));
+            });
+            prop_assert_eq!(seen.len(), epochs, "{:?}", eval);
+            for (k, nodes) in &seen {
+                prop_assert_eq!(
+                    nodes, &expect[*k],
+                    "epoch {} under {:?}", k, eval
+                );
             }
         }
     }
