@@ -530,6 +530,15 @@ fn bench(c: &mut Criterion) {
     // informational (on multicore hosts the four workers genuinely overlap
     // and land below fused). `tests/shard_equivalence.rs` pins both paths
     // bit-identical, so this pair measures cost, not drift.
+    //
+    // `warm_2` / `cold_2` time the worker lifecycle instead: 16-epoch
+    // calls over a light 1,024-node fleet at two shards, on one live
+    // `ShardedCluster` (workers spawned and built once, before timing)
+    // against a fresh one per iteration (spawn, task frames, node builds
+    // and shutdown inside every call). They measured 3.2-3.9x apart on a
+    // 2-vCPU host; CI requires cold_2/warm_2 >= 1.6x (`perf_check
+    // --require-ratio`), so a return to per-call respawning fails the perf
+    // gate.
     {
         let mut g = c.benchmark_group("shard_epoch");
         let worker = WorkerCommand::new(env!("CARGO_BIN_EXE_repro"), vec!["shard-worker".into()]);
@@ -585,6 +594,47 @@ fn bench(c: &mut Criterion) {
                     })
                 });
             }
+        }
+
+        const LIFECYCLE_NODES: usize = 1024;
+        const LIFECYCLE_EPOCHS: usize = 16;
+        let light = ClusterBlueprint::homogeneous(
+            LIFECYCLE_NODES,
+            SimTuning::default(),
+            PlatformPolicy::greennfv(),
+            NodeProfile::paper_default(),
+            ChainSpec::lightweight(ChainId(0)),
+            KnobSettings::default_tuned(),
+            FlowSet::evaluation_five_flows(),
+            9_000,
+        );
+        g.throughput(Throughput::Elements(
+            (LIFECYCLE_NODES * LIFECYCLE_EPOCHS) as u64,
+        ));
+        let mut warm = ShardedCluster::with_worker(light.clone(), 2, worker.clone())
+            .expect("shard count is valid");
+        warm.run_epochs(1).expect("warm fleet starts");
+        // Interleaved rounds, as above: the ratio gate compares each id's
+        // quietest window.
+        for _round in 0..3 {
+            g.bench_function("warm_2", |b| {
+                b.iter(|| {
+                    std::hint::black_box(
+                        warm.run_epochs(LIFECYCLE_EPOCHS)
+                            .expect("warm sharded call"),
+                    )
+                })
+            });
+            g.bench_function("cold_2", |b| {
+                b.iter(|| {
+                    let mut cold = ShardedCluster::with_worker(light.clone(), 2, worker.clone())
+                        .expect("shard count is valid");
+                    std::hint::black_box(
+                        cold.run_epochs(LIFECYCLE_EPOCHS)
+                            .expect("cold sharded call"),
+                    )
+                })
+            });
         }
         g.finish();
     }

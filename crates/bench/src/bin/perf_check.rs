@@ -22,8 +22,10 @@
 //! `--require-ratio` gates a *speedup invariant* inside the current record:
 //! bench `slow_id` must take at least `min_ratio`× the ns/element of
 //! `fast_id`. CI uses it to pin the warm evaluation cache at ≥ 5× over a
-//! cold run (`cache_cold/fig_grid` vs `cache_warm/fig_grid`) — a ratio, so
-//! it holds on any runner speed.
+//! cold run (`cache_cold/fig_grid` vs `cache_warm/fig_grid`), and a call
+//! that spawns a fresh 2-shard fleet at ≥ 1.6× a call on a live one
+//! (`shard_epoch/cold_2` vs `shard_epoch/warm_2`) — ratios, so they hold on
+//! any runner speed.
 //!
 //! `--max-ratio` is the overhead-bound dual: bench `a_id` must take at most
 //! `max_ratio`× the ns/element of `b_id` within the current record. CI uses

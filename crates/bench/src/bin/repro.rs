@@ -19,11 +19,12 @@ use greennfv_bench::*;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("shard-worker") {
-        // Worker mode for `nfv_sim::shard::ShardedCluster`: speak the
-        // frame protocol on stdin/stdout, then exit. The block buffer
-        // matters: `StdoutLock` is line-buffered and binary frames are full
-        // of 0x0A bytes; the generous capacity batches many epoch frames
-        // per pipe write (worker_main flushes at protocol boundaries).
+        // Worker mode for `nfv_sim::shard::ShardedCluster`: build the
+        // task's node slice once, answer run frames on stdin/stdout until
+        // stdin ends, then exit 0. The block buffer matters: `StdoutLock`
+        // is line-buffered and binary frames are full of 0x0A bytes; the
+        // generous capacity batches many epoch frames per pipe write
+        // (worker_main flushes after each done frame).
         let mut input = std::io::stdin().lock();
         let mut output = std::io::BufWriter::with_capacity(256 * 1024, std::io::stdout().lock());
         match nfv_sim::shard::worker_main(&mut input, &mut output) {

@@ -4,19 +4,33 @@
 //!
 //! | offset | size | field                                      |
 //! |--------|------|--------------------------------------------|
-//! | 0      | 4    | magic `b"NFS1"`                            |
+//! | 0      | 4    | magic `b"NFS2"`                            |
 //! | 4      | 1    | kind byte ([`FrameKind`])                  |
 //! | 5      | 4    | payload length, u32 little-endian          |
 //! | 9      | len  | payload bytes                              |
 //!
-//! Control payloads (task, final cursors, error reports) are a [`Value`]
+//! | kind byte | [`FrameKind`] | direction           | payload                      |
+//! |-----------|---------------|---------------------|------------------------------|
+//! | 1         | `Task`        | coordinator → worker | shard index, blueprint slice (once per worker) |
+//! | 2         | `Epoch`       | worker → coordinator | one epoch's node reports (flat codec) |
+//! | 3         | `Done`        | worker → coordinator | cursors after a run          |
+//! | 4         | `Error`       | worker → coordinator | structured failure report    |
+//! | 5         | `Run`         | coordinator → worker | horizon, eval mode, optional cursors and fault |
+//!
+//! `NFS1`, the magic of the one-task-per-process protocol that had no `Run`
+//! kind, is rejected as bad magic, so a stale worker binary fails with a
+//! named framing error instead of misreading the conversation.
+//!
+//! Control payloads (task, run, cursors, error reports) are a [`Value`]
 //! tree rendered with the compact binary codec in this module — a
 //! bincode-style tagged encoding over the vendored serde's interchange
 //! tree, so anything that derives `Serialize`/`Deserialize` goes on the
 //! wire without new dependencies. Floats travel as raw IEEE-754 bits, so
 //! NaN payloads and signed zeros round-trip bit-exactly (JSON could not
-//! carry them). The hot per-epoch report frames bypass the tree entirely;
-//! see the `protocol` module.
+//! carry them). A `Done` frame's cursors go as a count-prefixed sequence
+//! of one tree per node ([`encode_seq`]), so neither side ever holds a
+//! tree for the whole shard. The hot per-epoch report frames bypass the
+//! tree entirely; see the `protocol` module.
 //!
 //! The decoder is total: any byte stream either parses or returns a
 //! structured [`FrameError`] — bad magic, unknown kind, oversized or
@@ -29,8 +43,9 @@ use std::io::{ErrorKind, Read, Write};
 
 use serde::{Deserialize, Serialize, Value};
 
-/// Magic bytes opening every frame (`NFS1` = NFv Shard protocol v1).
-pub const FRAME_MAGIC: [u8; 4] = *b"NFS1";
+/// Magic bytes opening every frame (`NFS2` = NFv Shard protocol v2:
+/// long-lived workers, one `Task` then a `Run` per call).
+pub const FRAME_MAGIC: [u8; 4] = *b"NFS2";
 
 /// Hard cap on a frame payload (64 MiB): a corrupt length prefix fails
 /// structurally instead of triggering a multi-gigabyte allocation.
@@ -40,17 +55,21 @@ pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 /// on adversarial input.
 pub const MAX_VALUE_DEPTH: u32 = 64;
 
-/// Discriminates the four frame types on a worker pipe.
+/// Discriminates the five frame types on a worker pipe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
-    /// Coordinator → worker: the complete shard assignment.
+    /// Coordinator → worker: the shard index and blueprint slice, sent
+    /// once as the worker's first frame.
     Task,
     /// Worker → coordinator: one epoch's per-node reports (flat codec).
     Epoch,
-    /// Worker → coordinator: final traffic/knob cursors; closes the stream.
+    /// Worker → coordinator: traffic/knob cursors after a run; closes
+    /// that run's stream.
     Done,
     /// Worker → coordinator: structured failure report before exiting.
     Error,
+    /// Coordinator → worker: run a horizon (one per `run_epochs*` call).
+    Run,
 }
 
 impl FrameKind {
@@ -61,6 +80,7 @@ impl FrameKind {
             FrameKind::Epoch => 2,
             FrameKind::Done => 3,
             FrameKind::Error => 4,
+            FrameKind::Run => 5,
         }
     }
 
@@ -71,6 +91,7 @@ impl FrameKind {
             2 => Some(FrameKind::Epoch),
             3 => Some(FrameKind::Done),
             4 => Some(FrameKind::Error),
+            5 => Some(FrameKind::Run),
             _ => None,
         }
     }
@@ -124,8 +145,9 @@ impl std::error::Error for FrameError {}
 /// worker streaming hundreds of epoch frames through a `BufWriter` must
 /// not pay a pipe wake-up (on a single core, a worker/coordinator
 /// context-switch round trip) per epoch. Callers flush at protocol
-/// boundaries instead — after the task frame, after `Done`/`Error`, and
-/// before a fault-injected exit.
+/// boundaries instead — after `Done`/`Error` and before a fault-injected
+/// exit. The coordinator writes its control frames straight into the
+/// unbuffered pipe.
 pub fn write_frame(w: &mut impl Write, kind: FrameKind, payload: &[u8]) -> Result<(), FrameError> {
     if payload.len() > MAX_FRAME_LEN as usize {
         return Err(FrameError::Oversize(payload.len() as u32));
@@ -366,6 +388,39 @@ pub fn decode_message<T: Deserialize>(bytes: &[u8]) -> Result<T, FrameError> {
     T::from_value(&v).map_err(|e| FrameError::Decode(e.to_string()))
 }
 
+/// Serializes a sequence as a `u32` count followed by one [`Value`] tree
+/// per item. Encoding and decoding then hold one item's tree at a time
+/// instead of one tree for the whole sequence — a `Done` frame carries a
+/// cursor per node, and a tree for thousands of them is tens of MiB of
+/// short-lived allocations on every call.
+pub fn encode_seq<T: Serialize>(items: &[T]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+    for item in items {
+        encode_value(&item.to_value(), &mut out);
+    }
+    out
+}
+
+/// Parses [`encode_seq`] payload bytes back into the items; trailing bytes
+/// are an error.
+pub fn decode_seq<T: Deserialize>(bytes: &[u8]) -> Result<Vec<T>, FrameError> {
+    let mut c = ByteCursor { bytes, pos: 0 };
+    let n = c.count(1, "sequence")?;
+    let mut items = Vec::with_capacity(n);
+    for _ in 0..n {
+        let v = decode_value_at(&mut c, 0)?;
+        items.push(T::from_value(&v).map_err(|e| FrameError::Decode(e.to_string()))?);
+    }
+    if c.remaining() != 0 {
+        return Err(FrameError::Decode(format!(
+            "{} trailing bytes after sequence",
+            c.remaining()
+        )));
+    }
+    Ok(items)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,6 +475,50 @@ mod tests {
         assert_eq!(back, vec![1, 2, 3]);
         // Nothing left: the next read is a clean EOF, not truncation.
         assert_eq!(read_frame(&mut reader), Err(FrameError::CleanEof));
+    }
+
+    #[test]
+    fn sequences_roundtrip_and_reject_corruption() {
+        let items: Vec<Vec<u32>> = vec![vec![1, 2], Vec::new(), vec![7]];
+        let bytes = encode_seq(&items);
+        assert_eq!(decode_seq::<Vec<u32>>(&bytes), Ok(items));
+        assert_eq!(decode_seq::<u32>(&encode_seq::<u32>(&[])), Ok(Vec::new()));
+        for cut in 0..bytes.len() {
+            assert!(
+                decode_seq::<Vec<u32>>(&bytes[..cut]).is_err(),
+                "truncation at {cut} must not decode"
+            );
+        }
+        let mut long = bytes.clone();
+        long.push(TAG_NULL);
+        assert!(decode_seq::<Vec<u32>>(&long).is_err());
+        // A corrupt count cannot drive a huge allocation.
+        let mut corrupt = bytes;
+        corrupt[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            decode_seq::<Vec<u32>>(&corrupt),
+            Err(FrameError::Decode(_))
+        ));
+    }
+
+    #[test]
+    fn every_kind_roundtrips_and_v1_magic_is_rejected() {
+        for byte in 1..=5u8 {
+            let kind = FrameKind::from_byte(byte).expect("protocol kind");
+            assert_eq!(kind.as_byte(), byte);
+            let mut wire = Vec::new();
+            write_frame(&mut wire, kind, b"p").unwrap();
+            assert_eq!(read_frame(&mut &wire[..]), Ok((kind, b"p".to_vec())));
+        }
+        assert_eq!(FrameKind::from_byte(6), None);
+        // A frame from a worker speaking the previous protocol revision.
+        let mut v1 = Vec::new();
+        write_frame(&mut v1, FrameKind::Error, b"").unwrap();
+        v1[..4].copy_from_slice(b"NFS1");
+        assert_eq!(
+            read_frame(&mut &v1[..]),
+            Err(FrameError::BadMagic(*b"NFS1"))
+        );
     }
 
     #[test]

@@ -2,12 +2,20 @@
 //!
 //! The fused epoch loop and incremental evaluation scale one process;
 //! this module is the partitioning layer above them. A
-//! [`ShardedCluster`] splits a cluster's nodes into contiguous slices,
-//! spawns one worker process per slice (`shard_worker` binary or `repro
-//! shard-worker`), ships each worker its [`ClusterBlueprint`] slice and
-//! optional [`NodeCursor`] snapshots over a length-prefixed frame protocol
-//! ([`frame`]), and merges the streamed per-epoch
+//! [`ShardedCluster`] splits a cluster's nodes into contiguous slices and
+//! runs each slice in a worker process (`shard_worker` binary or `repro
+//! shard-worker`) that talks a length-prefixed frame protocol ([`frame`])
+//! over its stdin/stdout. It merges the streamed per-epoch
 //! [`crate::node::NodeEpochReport`]s back in node order.
+//!
+//! **Lifecycle.** Workers live as long as their `ShardedCluster`. The
+//! first `run_epochs*` call spawns them and sends each a `Task` frame with
+//! its [`ClusterBlueprint`] slice; each worker builds its nodes once. Every
+//! call, the first included, then sends each worker a small `Run` frame
+//! (horizon, [`EvalMode`], optional [`NodeCursor`]s, optional test fault),
+//! so a GreenNFV control loop that drives a fleet as many short calls pays
+//! for spawning, shipping the blueprint and building the nodes once, not
+//! per call. Dropping the cluster closes the workers' stdin; they exit 0.
 //!
 //! **Bit-exactness.** Shard *i* of *s* over *n* nodes owns nodes
 //! `[i*n/s, (i+1)*n/s)`. The batch kernel is bit-identical per lane
@@ -24,12 +32,17 @@
 //! **Failure semantics.** A worker that exits nonzero, writes garbage or a
 //! truncated frame, or dies mid-stream surfaces as a structured
 //! [`SimError::Shard`] naming the shard index and cause; the coordinator
-//! kills the remaining workers and never merges a partial horizon.
+//! kills and reaps the whole fleet and never merges a partial horizon. The
+//! next call spawns a fresh fleet and resumes it from the last merged
+//! cursors.
 //!
-//! **Checkpointing.** Workers return their final cursors in the `Done`
-//! frame; the coordinator composes them in node order, so
-//! [`ShardedCluster::cursors`] is exactly what a fused cluster would
-//! snapshot and resumed runs stay bit-identical.
+//! **Checkpointing.** Every call's `Done` frames carry the workers'
+//! cursors; the coordinator composes them in node order, so
+//! [`ShardedCluster::cursors`] is a local copy of exactly what a fused
+//! cluster would snapshot. [`ShardedCluster::restore_cursors`] only
+//! records a snapshot; the next `Run` frames carry it to the live workers,
+//! whose next epoch restages every load, so resumed runs stay
+//! bit-identical.
 
 mod blueprint;
 pub mod frame;
@@ -37,15 +50,17 @@ mod protocol;
 
 pub use blueprint::{ChainBlueprint, ClusterBlueprint, NodeBlueprint, TrafficBlueprint};
 pub use protocol::{
-    decode_epoch, encode_epoch, worker_main, EpochFrame, WorkerErrorReport, WorkerFault, WorkerTask,
+    decode_epoch, encode_epoch, worker_main, EpochFrame, WorkerErrorReport, WorkerFault, WorkerRun,
+    WorkerTask,
 };
 
+use std::io::BufReader;
 use std::ops::Range;
 use std::path::PathBuf;
-use std::process::{Child, Command, ExitStatus, Stdio};
-use std::sync::mpsc;
+use std::process::{Child, ChildStdout, Command, ExitStatus, Stdio};
+use std::sync::{mpsc, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::cluster::ClusterEpochReport;
 use crate::error::{SimError, SimResult};
@@ -136,7 +151,7 @@ impl WorkerCommand {
     }
 }
 
-/// Events a reader thread reports to the coordinator.
+/// Events a worker's output stream yields to the coordinator.
 enum Event {
     Epoch {
         shard: usize,
@@ -156,16 +171,40 @@ enum Event {
 /// A cluster partitioned across worker processes, drop-in shaped like
 /// [`Cluster`](crate::cluster::Cluster)'s multi-epoch API: `run_epochs`
 /// returns the same [`ClusterEpochReport`]s the fused in-process path
-/// returns, bit for bit, and consecutive calls continue the same run (the
-/// coordinator carries the cursors between calls).
+/// returns, bit for bit, and consecutive calls continue the same run.
+///
+/// **Lifecycle.** The first `run_epochs*` call spawns one worker per
+/// shard and ships each its blueprint slice; the workers build their nodes
+/// once and then serve every later call, each of which costs one small
+/// `Run` frame per worker plus the streamed results. Every call's `Done`
+/// frames return the workers' cursors, so [`cursors`](Self::cursors) is a
+/// local copy and [`restore_cursors`](Self::restore_cursors) does no I/O:
+/// the restored cursors ride the next `Run` frame.
+///
+/// **Failure and recovery.** A failing call kills and reaps the whole
+/// fleet and returns [`SimError::Shard`]; nothing from it is merged. The
+/// next call spawns a fresh fleet and resumes it from the last merged (or
+/// restored) cursors.
+///
+/// **Drop.** Dropping the cluster closes every worker's stdin — the
+/// workers' shutdown signal — reaps each within a bounded wait, and kills
+/// any still running after it.
 #[derive(Debug)]
 pub struct ShardedCluster {
     blueprint: ClusterBlueprint,
     shards: u32,
     worker: WorkerCommand,
+    /// The run's current cursors: the last merged `Done` cursors, or a
+    /// restored snapshot. `None` until either exists.
     cursors: Option<Vec<NodeCursor>>,
+    /// True when the live workers' state is not `cursors` (a restore since
+    /// the last call, or a fleet not yet caught up), so the next `Run`
+    /// frames must carry them.
+    pending: bool,
     epochs_run: u64,
     faults: Vec<(u32, WorkerFault)>,
+    /// The live worker processes, spawned by the first call.
+    fleet: Option<Fleet>,
 }
 
 impl ShardedCluster {
@@ -175,7 +214,8 @@ impl ShardedCluster {
         Self::with_worker(blueprint, shards, WorkerCommand::resolve()?)
     }
 
-    /// A sharded cluster with an explicit worker command.
+    /// A sharded cluster with an explicit worker command. No process is
+    /// spawned until the first `run_epochs*` call.
     pub fn with_worker(
         blueprint: ClusterBlueprint,
         shards: u32,
@@ -191,8 +231,10 @@ impl ShardedCluster {
             shards,
             worker,
             cursors: None,
+            pending: false,
             epochs_run: 0,
             faults: Vec::new(),
+            fleet: None,
         })
     }
 
@@ -223,7 +265,8 @@ impl ShardedCluster {
     }
 
     /// Test instrumentation: make the worker for `shard` inject `fault`
-    /// into its own stream (see [`WorkerFault`]). Never used in
+    /// into its own stream (see [`WorkerFault`]) during the next call; the
+    /// `Run` frame that delivers a fault consumes it. Never used in
     /// production paths.
     pub fn inject_fault(&mut self, shard: u32, fault: WorkerFault) {
         self.faults.push((shard, fault));
@@ -245,7 +288,8 @@ impl ShardedCluster {
 
     /// Resumes from per-node cursors (e.g. out of a checkpoint). The next
     /// `run_epochs` continues bit-identically to a fused cluster restored
-    /// from the same snapshot.
+    /// from the same snapshot. No I/O happens here: the next call's `Run`
+    /// frames carry each worker its slice.
     pub fn restore_cursors(&mut self, cursors: Vec<NodeCursor>) -> SimResult<()> {
         if cursors.len() != self.blueprint.len() {
             return Err(SimError::NodeConfig(format!(
@@ -256,6 +300,7 @@ impl ShardedCluster {
         }
         self.epochs_run = cursors.first().map(|c| c.epochs_run).unwrap_or(0);
         self.cursors = Some(cursors);
+        self.pending = true;
         Ok(())
     }
 
@@ -283,10 +328,8 @@ impl ShardedCluster {
             // epochs.
             return Ok(vec![ClusterEpochReport { nodes: Vec::new() }; epochs]);
         }
-        let ranges = shard_ranges(nodes, self.shards);
-        let (per_shard, done) = self.drive_workers(&ranges, epochs, eval)?;
+        let (mut per_shard, done) = self.drive(epochs, eval)?;
         // Merge epoch by epoch in shard (= node) order.
-        let mut per_shard = per_shard;
         let mut out = Vec::with_capacity(epochs);
         for e in 0..epochs {
             let mut merged = Vec::with_capacity(nodes);
@@ -296,185 +339,223 @@ impl ShardedCluster {
             out.push(ClusterEpochReport { nodes: merged });
         }
         self.cursors = Some(done.into_iter().flatten().collect());
+        self.pending = false;
         self.epochs_run += epochs as u64;
         Ok(out)
     }
 
-    /// Spawns one worker per range, feeds tasks, and collects every epoch
-    /// frame. Returns `reports[shard][epoch]` plus final per-shard cursors,
-    /// or the first structured failure (after killing the remaining
-    /// workers). A single-worker fleet is driven inline on the calling
-    /// thread — no reader thread and no channel hop per epoch — which is
-    /// the dominant transport cost on a single core (the `shard_epoch`
-    /// bench's 1.15× gate measures exactly this path); multi-worker fleets
-    /// need one reader thread per worker so a stalled pipe on one shard
-    /// cannot deadlock the others.
+    /// Sends every live worker its `Run` frame (spawning the fleet first if
+    /// none is live) and collects every epoch frame. Returns
+    /// `reports[shard][epoch]` plus per-shard cursors, or the first
+    /// structured failure after tearing the fleet down.
     #[allow(clippy::type_complexity)]
-    fn drive_workers(
-        &self,
-        ranges: &[Range<usize>],
+    fn drive(
+        &mut self,
         epochs: usize,
         eval: EvalMode,
     ) -> SimResult<(Vec<Vec<Vec<NodeEpochReport>>>, Vec<Vec<NodeCursor>>)> {
-        if ranges.len() == 1 {
-            return self.drive_single_worker(ranges, epochs, eval);
+        if self.fleet.is_none() {
+            self.fleet = Some(Fleet::spawn(&self.worker, &self.blueprint, self.shards)?);
+            // Fresh workers hold freshly built nodes.
+            self.pending = self.cursors.is_some();
         }
-        let n_shards = ranges.len();
-        let mut children: Vec<Child> = Vec::with_capacity(n_shards);
-        let mut readers = Vec::with_capacity(n_shards);
-        let (tx, rx) = mpsc::channel::<Event>();
-
-        // Spawn phase. On any failure, kill whatever is already running.
-        for (shard, range) in ranges.iter().enumerate() {
-            let spawned = self.spawn_worker(shard, range.clone(), epochs, eval);
-            match spawned {
-                Ok((child, reader_handle)) => {
-                    let tx = tx.clone();
-                    readers.push(thread::spawn(move || {
-                        read_worker(shard, reader_handle, &tx)
-                    }));
-                    children.push(child);
+        let fleet = self.fleet.as_mut().expect("fleet spawned above");
+        let runs: Vec<WorkerRun> = fleet
+            .ranges
+            .iter()
+            .enumerate()
+            .map(|(shard, range)| {
+                let fault = self
+                    .faults
+                    .iter()
+                    .position(|(s, _)| *s as usize == shard)
+                    .map(|i| self.faults.remove(i).1);
+                WorkerRun {
+                    epochs: epochs as u64,
+                    eval,
+                    cursors: match &self.cursors {
+                        Some(c) if self.pending => Some(c[range.clone()].to_vec()),
+                        _ => None,
+                    },
+                    fault,
                 }
+            })
+            .collect();
+        match fleet.run(&runs, epochs) {
+            Ok(collected) => Ok(collected),
+            Err((shard, cause)) => {
+                let fleet = self.fleet.take().expect("fleet is live");
+                Err(fleet.fail(shard, cause))
+            }
+        }
+    }
+}
+
+/// The live worker processes of one [`ShardedCluster`].
+///
+/// A single-worker fleet is read inline on the calling thread — no reader
+/// thread and no channel hop per epoch, which is the dominant transport
+/// cost on a single core (the `shard_epoch` bench's 1.15× gate measures
+/// exactly this path). A multi-worker fleet has one reader thread per
+/// worker, started before any frame is written and living as long as the
+/// fleet, so a stalled pipe on one shard cannot deadlock the others.
+#[derive(Debug)]
+struct Fleet {
+    ranges: Vec<Range<usize>>,
+    children: Vec<Child>,
+    stream: Stream,
+}
+
+/// Where a fleet's worker output is read.
+#[derive(Debug)]
+enum Stream {
+    Inline(BufReader<ChildStdout>),
+    Threads {
+        /// Behind a `Mutex` only so `ShardedCluster` stays `Sync` (a bare
+        /// `Receiver` is not); the coordinator reads it through
+        /// `get_mut`, never locking.
+        rx: Mutex<mpsc::Receiver<Event>>,
+        readers: Vec<thread::JoinHandle<()>>,
+    },
+}
+
+impl Fleet {
+    /// Spawns one worker per shard range and sends each its `Task` frame.
+    fn spawn(worker: &WorkerCommand, blueprint: &ClusterBlueprint, shards: u32) -> SimResult<Self> {
+        let ranges = shard_ranges(blueprint.len(), shards);
+        let mut children = Vec::with_capacity(ranges.len());
+        for shard in 0..ranges.len() {
+            let spawned = Command::new(&worker.program)
+                .args(&worker.args)
+                .stdin(Stdio::piped())
+                .stdout(Stdio::piped())
+                .stderr(Stdio::inherit())
+                .spawn();
+            match spawned {
+                Ok(child) => children.push(child),
                 Err(e) => {
                     kill_all(&mut children);
-                    join_all(readers);
-                    return Err(e);
+                    return Err(SimError::Shard {
+                        shard: shard as u32,
+                        cause: format!(
+                            "failed to spawn worker `{}`: {e}",
+                            worker.program.display()
+                        ),
+                    });
                 }
             }
         }
-        drop(tx);
-
-        // Collect phase.
-        let mut collector = Collector::new(ranges, epochs);
-        let failure = loop {
-            if collector.complete() {
-                break None;
-            }
-            let event = match rx.recv() {
-                Ok(ev) => ev,
-                Err(_) => {
-                    break Some((0, "all worker streams closed unexpectedly".to_string()));
-                }
-            };
-            if let Err(f) = collector.on_event(event) {
-                break Some(f);
+        let mut stdouts = children
+            .iter_mut()
+            .map(|c| c.stdout.take().expect("stdout is piped"));
+        let stream = if ranges.len() == 1 {
+            let stdout = stdouts.next().expect("one worker");
+            Stream::Inline(BufReader::with_capacity(READ_BUF_LEN, stdout))
+        } else {
+            let (tx, rx) = mpsc::channel::<Event>();
+            let readers = stdouts
+                .enumerate()
+                .map(|(shard, stdout)| {
+                    let tx = tx.clone();
+                    thread::spawn(move || read_worker(shard, stdout, &tx))
+                })
+                .collect();
+            Stream::Threads {
+                rx: Mutex::new(rx),
+                readers,
             }
         };
-
-        if let Some((shard, cause)) = failure {
-            let status = wait_briefly(children.get_mut(shard));
-            kill_all(&mut children);
-            drop(rx);
-            join_all(readers);
-            let cause = match status {
-                Some(st) if !st.success() => format!("{cause}; worker {st}"),
-                _ => cause,
-            };
-            return Err(SimError::Shard {
+        let mut fleet = Fleet {
+            ranges,
+            children,
+            stream,
+        };
+        for shard in 0..fleet.ranges.len() {
+            let range = fleet.ranges[shard].clone();
+            let task = WorkerTask {
                 shard: shard as u32,
-                cause,
-            });
+                blueprint: blueprint.slice(range.start, range.end)?,
+            };
+            if let Err(cause) = fleet.send(shard, FrameKind::Task, &frame::encode_message(&task)) {
+                return Err(fleet.fail(shard, cause));
+            }
         }
-
-        for child in children.iter_mut() {
-            let _ = child.wait();
-        }
-        join_all(readers);
-        Ok(collector.finish())
+        Ok(fleet)
     }
 
-    /// The single-worker drive loop: reads and merges the worker's frames
-    /// inline on the calling thread. Behaviourally identical to the
-    /// threaded path (same [`Collector`] state machine, same structured
-    /// errors), minus the per-epoch thread wake-ups.
+    /// Writes one control frame to a worker's stdin.
+    fn send(&mut self, shard: usize, kind: FrameKind, payload: &[u8]) -> Result<(), String> {
+        let stdin = self.children[shard].stdin.as_mut().expect("stdin is piped");
+        frame::write_frame(stdin, kind, payload)
+            .map_err(|e| format!("failed to send {kind:?} frame: {e}"))
+    }
+
+    /// One call: a `Run` frame to every worker, then every epoch and
+    /// `Done` frame back. A returned error is `(shard, cause)`.
     #[allow(clippy::type_complexity)]
-    fn drive_single_worker(
-        &self,
-        ranges: &[Range<usize>],
+    fn run(
+        &mut self,
+        runs: &[WorkerRun],
         epochs: usize,
-        eval: EvalMode,
-    ) -> SimResult<(Vec<Vec<Vec<NodeEpochReport>>>, Vec<Vec<NodeCursor>>)> {
-        let (mut child, stdout) = self.spawn_worker(0, ranges[0].clone(), epochs, eval)?;
-        let mut stdout = std::io::BufReader::with_capacity(READ_BUF_LEN, stdout);
-        let mut collector = Collector::new(ranges, epochs);
-        let failure = loop {
-            if collector.complete() {
-                break None;
-            }
-            if let Err(f) = collector.on_event(next_event(0, &mut stdout)) {
-                break Some(f);
-            }
-        };
-
-        if let Some((shard, cause)) = failure {
-            let status = wait_briefly(Some(&mut child));
-            kill_all(std::slice::from_mut(&mut child));
-            let cause = match status {
-                Some(st) if !st.success() => format!("{cause}; worker {st}"),
-                _ => cause,
-            };
-            return Err(SimError::Shard {
-                shard: shard as u32,
-                cause,
-            });
+    ) -> Result<(Vec<Vec<Vec<NodeEpochReport>>>, Vec<Vec<NodeCursor>>), (usize, String)> {
+        for (shard, run) in runs.iter().enumerate() {
+            self.send(shard, FrameKind::Run, &frame::encode_message(run))
+                .map_err(|cause| (shard, cause))?;
         }
-
-        let _ = child.wait();
+        let mut collector = Collector::new(&self.ranges, epochs);
+        while !collector.complete() {
+            let event = match &mut self.stream {
+                Stream::Inline(stdout) => next_event(0, stdout),
+                Stream::Threads { rx, .. } => rx
+                    .get_mut()
+                    .expect("the receiver is never locked, so never poisoned")
+                    .recv()
+                    .unwrap_or_else(|_| Event::Failed {
+                        shard: 0,
+                        cause: "all worker streams closed unexpectedly".to_string(),
+                    }),
+            };
+            collector.on_event(event)?;
+        }
         Ok(collector.finish())
     }
 
-    /// Spawns the worker for one shard and sends its task frame.
-    fn spawn_worker(
-        &self,
-        shard: usize,
-        range: Range<usize>,
-        epochs: usize,
-        eval: EvalMode,
-    ) -> SimResult<(Child, std::process::ChildStdout)> {
-        let fail = |cause: String| SimError::Shard {
+    /// Tears the fleet down after a failure on `shard` and returns the
+    /// structured error, naming the failing worker's exit status when it
+    /// exits within a short grace period.
+    fn fail(mut self, shard: usize, cause: String) -> SimError {
+        close_stdins(&mut self.children);
+        let status = reap_by(&mut self.children[shard], Instant::now() + FAIL_GRACE);
+        kill_all(&mut self.children);
+        let cause = match status {
+            Some(st) if !st.success() => format!("{cause}; worker {st}"),
+            _ => cause,
+        };
+        SimError::Shard {
             shard: shard as u32,
             cause,
-        };
-        let mut child = Command::new(&self.worker.program)
-            .args(&self.worker.args)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .map_err(|e| {
-                fail(format!(
-                    "failed to spawn worker `{}`: {e}",
-                    self.worker.program.display()
-                ))
-            })?;
-        let task = WorkerTask {
-            shard: shard as u32,
-            epochs: epochs as u64,
-            eval,
-            blueprint: self
-                .blueprint
-                .slice(range.start, range.end)
-                .map_err(|e| fail(e.to_string()))?,
-            cursors: self
-                .cursors
-                .as_ref()
-                .map(|c| c[range.start..range.end].to_vec()),
-            fault: self
-                .faults
-                .iter()
-                .find(|(s, _)| *s == shard as u32)
-                .map(|(_, f)| *f),
-        };
-        let mut stdin = child.stdin.take().expect("stdin is piped");
-        let sent = frame::write_frame(&mut stdin, FrameKind::Task, &frame::encode_message(&task));
-        drop(stdin);
-        if let Err(e) = sent {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Err(fail(format!("failed to send task frame: {e}")));
         }
-        let stdout = child.stdout.take().expect("stdout is piped");
-        Ok((child, stdout))
+    }
+}
+
+impl Drop for Fleet {
+    /// Closes every worker's stdin (their shutdown signal), reaps them
+    /// within [`SHUTDOWN_GRACE`], kills any still running, and joins the
+    /// reader threads, which end at their worker's end of stream.
+    fn drop(&mut self) {
+        close_stdins(&mut self.children);
+        let deadline = Instant::now() + SHUTDOWN_GRACE;
+        for child in self.children.iter_mut() {
+            if reap_by(child, deadline).is_none() {
+                let _ = child.kill();
+                let _ = child.wait();
+            }
+        }
+        if let Stream::Threads { readers, .. } = &mut self.stream {
+            for handle in readers.drain(..) {
+                let _ = handle.join();
+            }
+        }
     }
 }
 
@@ -483,6 +564,14 @@ impl ShardedCluster {
 /// (and, on a single core, often a worker/coordinator context-switch
 /// round trip).
 const READ_BUF_LEN: usize = 256 * 1024;
+
+/// How long a failing worker gets to exit on its own so the error can
+/// name its exit status.
+const FAIL_GRACE: Duration = Duration::from_millis(500);
+
+/// How long a dropped fleet's workers get to exit after their stdin
+/// closes before they are killed.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 
 /// The coordinator's per-event state machine, shared by the inline
 /// single-worker drive loop and the threaded multi-worker collect phase so
@@ -602,7 +691,7 @@ fn next_event<R: std::io::BufRead>(shard: usize, stdout: &mut R) -> Event {
                 cause: format!("bad epoch frame: {e}"),
             },
         },
-        Ok((FrameKind::Done, payload)) => match frame::decode_message(&payload) {
+        Ok((FrameKind::Done, payload)) => match frame::decode_seq(&payload) {
             Ok(cursors) => Event::Done { shard, cursors },
             Err(e) => Event::Failed {
                 shard,
@@ -616,9 +705,9 @@ fn next_event<R: std::io::BufRead>(shard: usize, stdout: &mut R) -> Event {
             };
             Event::Failed { shard, cause }
         }
-        Ok((FrameKind::Task, _)) => Event::Failed {
+        Ok((kind @ (FrameKind::Task | FrameKind::Run), _)) => Event::Failed {
             shard,
-            cause: "worker sent a task frame".to_string(),
+            cause: format!("worker sent a coordinator-only {kind:?} frame"),
         },
         Err(FrameError::CleanEof) => Event::Failed {
             shard,
@@ -632,43 +721,43 @@ fn next_event<R: std::io::BufRead>(shard: usize, stdout: &mut R) -> Event {
 }
 
 /// Reader-thread loop (multi-worker fleets): decodes one worker's stream
-/// into events. Exits on `Done`, on any error, or when the coordinator
+/// into events for as long as the worker lives. Exits after the first
+/// failure (which includes the end of the stream) or when the coordinator
 /// hangs up the channel.
-fn read_worker(shard: usize, stdout: std::process::ChildStdout, tx: &mpsc::Sender<Event>) {
-    let mut stdout = std::io::BufReader::with_capacity(READ_BUF_LEN, stdout);
+fn read_worker(shard: usize, stdout: ChildStdout, tx: &mpsc::Sender<Event>) {
+    let mut stdout = BufReader::with_capacity(READ_BUF_LEN, stdout);
     loop {
         let event = next_event(shard, &mut stdout);
-        let terminal = matches!(event, Event::Done { .. } | Event::Failed { .. });
-        if tx.send(event).is_err() || terminal {
+        let failed = matches!(event, Event::Failed { .. });
+        if tx.send(event).is_err() || failed {
             return;
         }
     }
 }
 
-/// Gives a failing worker a short grace period to be reaped so the error
-/// can name its exit status; `None` if it is still running.
-fn wait_briefly(child: Option<&mut Child>) -> Option<ExitStatus> {
-    let child = child?;
-    for _ in 0..50 {
+/// Closes every worker's stdin: end of stream tells a worker to exit.
+fn close_stdins(children: &mut [Child]) {
+    for child in children.iter_mut() {
+        drop(child.stdin.take());
+    }
+}
+
+/// Reaps `child` if it exits before `deadline`; `None` if it is still
+/// running then (or cannot be polled).
+fn reap_by(child: &mut Child, deadline: Instant) -> Option<ExitStatus> {
+    loop {
         match child.try_wait() {
             Ok(Some(status)) => return Some(status),
-            Ok(None) => thread::sleep(Duration::from_millis(10)),
-            Err(_) => return None,
+            Ok(None) if Instant::now() < deadline => thread::sleep(Duration::from_micros(200)),
+            _ => return None,
         }
     }
-    None
 }
 
 fn kill_all(children: &mut [Child]) {
     for child in children.iter_mut() {
         let _ = child.kill();
         let _ = child.wait();
-    }
-}
-
-fn join_all(readers: Vec<thread::JoinHandle<()>>) {
-    for handle in readers {
-        let _ = handle.join();
     }
 }
 
@@ -699,6 +788,12 @@ mod tests {
     fn uneven_partition_matches_issue_example() {
         let sizes: Vec<usize> = shard_ranges(7, 4).iter().map(|r| r.len()).collect();
         assert_eq!(sizes, vec![1, 2, 2, 2]);
+    }
+
+    #[test]
+    fn sharded_cluster_is_send_and_sync() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<ShardedCluster>();
     }
 
     #[test]

@@ -1,18 +1,28 @@
 //! Wire messages between the shard coordinator and its workers.
 //!
-//! One [`WorkerTask`] control frame goes down each worker's stdin; the
-//! worker answers on stdout with one `Epoch` frame per epoch, then a `Done`
-//! frame carrying its final [`NodeCursor`]s (or an `Error` frame plus a
-//! nonzero exit). Control frames use the binary [`Value`] codec in
-//! [`super::frame`]; the per-epoch report frames are hot-path and use the
-//! hand-written flat codec in this module instead — a fixed field walk over
-//! `f64::to_bits` little-endian words, roughly two orders of magnitude
-//! cheaper than building interchange trees, which is what keeps coordinator
-//! overhead inside the CI perf gate (`shard_epoch/*` in `perf_check`).
+//! A worker lives as long as its coordinator. Its first control frame is
+//! one [`WorkerTask`] (shard index plus blueprint slice), from which it
+//! builds its node slice once. Every `run_epochs*` call then sends one
+//! small [`WorkerRun`] frame (horizon, evaluation mode, optional resume
+//! cursors, optional test fault); the worker answers on stdout with one
+//! `Epoch` frame per epoch and a `Done` frame carrying its current
+//! [`NodeCursor`]s, flushes, and waits for the next frame. End of stdin is
+//! the shutdown signal: the worker returns `Ok` and its host exits 0. A
+//! failure is answered with an `Error` frame and a nonzero exit.
+//!
+//! Control frames use the binary [`Value`] codec in [`super::frame`]; the
+//! per-epoch report frames are hot-path and use the hand-written flat codec
+//! in this module instead — a fixed field walk over `f64::to_bits`
+//! little-endian words, roughly two orders of magnitude cheaper than
+//! building interchange trees, which is what keeps coordinator overhead
+//! inside the CI perf gate (`shard_epoch/*` in `perf_check`).
+//!
+//! [`Value`]: serde::Value
 
 use serde::{Deserialize, Serialize};
 
 use crate::chainvec::ChainVec;
+use crate::cluster::Cluster;
 use crate::engine::{ChainEpochResult, NodeEpochResult};
 use crate::error::{SimError, SimResult};
 use crate::node::{NodeCursor, NodeEpochReport};
@@ -48,19 +58,26 @@ pub enum WorkerFault {
     },
 }
 
-/// The complete assignment sent to one worker: its blueprint slice, the
-/// horizon, and optionally the cursors to resume from.
+/// The first frame a worker receives: which shard it is and the blueprint
+/// slice it builds its nodes from, once for its whole life.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkerTask {
     /// Shard index (for error reporting).
     pub shard: u32,
+    /// Blueprint slice covering exactly this shard's nodes.
+    pub blueprint: ClusterBlueprint,
+}
+
+/// One `run_epochs*` call as seen by one worker: run `epochs` more epochs
+/// over the nodes built from its [`WorkerTask`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct WorkerRun {
     /// Epochs to run.
     pub epochs: u64,
     /// Evaluation mode for the worker's epoch loop.
     pub eval: EvalMode,
-    /// Blueprint slice covering exactly this shard's nodes.
-    pub blueprint: ClusterBlueprint,
-    /// Cursors to restore before running (resume); `None` starts fresh.
+    /// Cursors to restore before running (resume, or a respawned fleet
+    /// catching up); `None` continues from the worker's own state.
     #[serde(default)]
     pub cursors: Option<Vec<NodeCursor>>,
     /// Test-only fault injection; `None` in production.
@@ -262,52 +279,81 @@ fn shard_err(shard: u32, cause: impl Into<String>) -> SimError {
     }
 }
 
-/// Runs one worker to completion: reads the [`WorkerTask`] from `input`,
-/// rebuilds the node slice, streams one `Epoch` frame per epoch to
-/// `output`, and closes with a `Done` frame carrying the final cursors.
+/// Serves one worker for the life of its coordinator: reads the
+/// [`WorkerTask`] from `input` and builds the node slice once, then answers
+/// every [`WorkerRun`] with one `Epoch` frame per epoch and a `Done` frame
+/// carrying the current cursors, flushing after each `Done`. Returns `Ok`
+/// when `input` ends at a frame boundary.
 ///
-/// On any failure a structured `Error` frame is written (best-effort) and
-/// the error returned, so the hosting binary can exit nonzero. This is the
-/// entry point behind both the `shard_worker` binary and the `repro
+/// On any failure — an unreadable frame, a `Run` before the `Task`, a
+/// second `Task`, a frame kind only workers send, or a failing run — a
+/// structured `Error` frame is written (best-effort) and the error
+/// returned, so the hosting binary can exit nonzero. This is the entry
+/// point behind both the `shard_worker` binary and the `repro
 /// shard-worker` mode.
 pub fn worker_main(
     input: &mut impl std::io::Read,
     output: &mut impl std::io::Write,
 ) -> SimResult<()> {
-    let (kind, payload) = frame::read_frame(input)
-        .map_err(|e| shard_err(0, format!("failed to read task frame: {e}")))?;
-    if kind != FrameKind::Task {
-        return Err(shard_err(0, format!("expected task frame, got {kind:?}")));
-    }
-    let task: WorkerTask = frame::decode_message(&payload)
-        .map_err(|e| shard_err(0, format!("failed to decode task: {e}")))?;
-    let result = match run_task(&task, output) {
-        Ok(()) => Ok(()),
-        Err(err) => {
+    let mut shard = 0;
+    let mut cluster: Option<Cluster> = None;
+    loop {
+        let served = match frame::read_frame(input) {
+            Err(FrameError::CleanEof) => return Ok(()),
+            Err(e) => Err(shard_err(
+                shard,
+                format!("failed to read control frame: {e}"),
+            )),
+            Ok((FrameKind::Task, _)) if cluster.is_some() => {
+                Err(shard_err(shard, "second task frame"))
+            }
+            Ok((FrameKind::Task, payload)) => frame::decode_message::<WorkerTask>(&payload)
+                .map_err(|e| shard_err(shard, format!("failed to decode task: {e}")))
+                .and_then(|task| {
+                    shard = task.shard;
+                    cluster = Some(task.blueprint.build()?);
+                    Ok(())
+                }),
+            Ok((FrameKind::Run, payload)) => match cluster.as_mut() {
+                None => Err(shard_err(shard, "run frame before any task frame")),
+                Some(cluster) => frame::decode_message::<WorkerRun>(&payload)
+                    .map_err(|e| shard_err(shard, format!("failed to decode run: {e}")))
+                    .and_then(|run| serve_run(shard, cluster, &run, output)),
+            },
+            Ok((kind, _)) => Err(shard_err(
+                shard,
+                format!("coordinator sent a worker-only {kind:?} frame"),
+            )),
+        };
+        if let Err(err) = served {
             let report = WorkerErrorReport {
-                shard: task.shard,
+                shard,
                 message: err.to_string(),
             };
             // Best-effort: the pipe may already be gone.
             let _ = frame::write_frame(output, FrameKind::Error, &frame::encode_message(&report));
-            Err(err)
+            let _ = output.flush();
+            return Err(err);
         }
-    };
-    // `write_frame` never flushes (streamed epoch frames ride the caller's
-    // buffer); the end of the worker conversation is the flush boundary.
-    let _ = output.flush();
-    result
+    }
 }
 
-fn run_task(task: &WorkerTask, output: &mut impl std::io::Write) -> SimResult<()> {
-    let shard = task.shard;
-    let mut cluster = task.blueprint.build()?;
-    if let Some(cursors) = &task.cursors {
+/// Answers one [`WorkerRun`]: streams its epoch frames, then the `Done`
+/// frame, then flushes — `write_frame` never flushes (streamed epoch frames
+/// ride the caller's buffer), and the end of a run is the boundary the
+/// coordinator waits on.
+fn serve_run(
+    shard: u32,
+    cluster: &mut Cluster,
+    run: &WorkerRun,
+    output: &mut impl std::io::Write,
+) -> SimResult<()> {
+    if let Some(cursors) = &run.cursors {
         if cursors.len() != cluster.len() {
             return Err(shard_err(
                 shard,
                 format!(
-                    "task carries {} cursors for {} nodes",
+                    "run carries {} cursors for {} nodes",
                     cursors.len(),
                     cluster.len()
                 ),
@@ -320,9 +366,9 @@ fn run_task(task: &WorkerTask, output: &mut impl std::io::Write) -> SimResult<()
     let mut write_err: Option<FrameError> = None;
     let mut sent: u64 = 0;
     cluster.observe_epochs(
-        task.epochs as usize,
+        run.epochs as usize,
         PipelineMode::Auto,
-        task.eval,
+        run.eval,
         |epoch, report| {
             if write_err.is_some() {
                 return;
@@ -333,7 +379,7 @@ fn run_task(task: &WorkerTask, output: &mut impl std::io::Write) -> SimResult<()
                 return;
             }
             sent += 1;
-            if let Some(fault) = task.fault {
+            if let Some(fault) = run.fault {
                 apply_fault(fault, sent, output);
             }
         },
@@ -344,13 +390,12 @@ fn run_task(task: &WorkerTask, output: &mut impl std::io::Write) -> SimResult<()
             format!("failed to write epoch frame: {e}"),
         ));
     }
-    let mut cursors = Vec::with_capacity(cluster.len());
-    for i in 0..cluster.len() {
-        cursors.push(cluster.node(i)?.cursor());
-    }
-    frame::write_frame(output, FrameKind::Done, &frame::encode_message(&cursors))
+    let cursors: Vec<NodeCursor> = cluster.nodes().map(|n| n.cursor()).collect();
+    frame::write_frame(output, FrameKind::Done, &frame::encode_seq(&cursors))
         .map_err(|e| shard_err(shard, format!("failed to write done frame: {e}")))?;
-    Ok(())
+    output
+        .flush()
+        .map_err(|e| shard_err(shard, format!("failed to flush done frame: {e}")))
 }
 
 /// Test instrumentation: performs the injected fault once `sent` epoch
@@ -384,6 +429,7 @@ fn apply_fault(fault: WorkerFault, sent: u64, output: &mut impl std::io::Write) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::ClusterEpochReport;
     use crate::shard::blueprint::tests_support::sample_blueprint;
 
     #[test]
@@ -418,21 +464,55 @@ mod tests {
         assert!(decode_epoch(&corrupt).is_err());
     }
 
+    /// Coordinator-side bytes: one control frame per message.
+    fn control(frames: &[(FrameKind, Vec<u8>)]) -> Vec<u8> {
+        let mut input = Vec::new();
+        for (kind, payload) in frames {
+            frame::write_frame(&mut input, *kind, payload).unwrap();
+        }
+        input
+    }
+
+    fn task(shard: u32, blueprint: &ClusterBlueprint) -> (FrameKind, Vec<u8>) {
+        let task = WorkerTask {
+            shard,
+            blueprint: blueprint.clone(),
+        };
+        (FrameKind::Task, frame::encode_message(&task))
+    }
+
+    fn run(epochs: u64, eval: EvalMode, cursors: Option<Vec<NodeCursor>>) -> (FrameKind, Vec<u8>) {
+        let run = WorkerRun {
+            epochs,
+            eval,
+            cursors,
+            fault: None,
+        };
+        (FrameKind::Run, frame::encode_message(&run))
+    }
+
+    /// Reads one horizon off a worker's output: `epochs` epoch frames,
+    /// each checked against `expected`, then the closing `Done` frame's
+    /// cursors.
+    fn read_horizon(reader: &mut &[u8], expected: &[ClusterEpochReport]) -> Vec<NodeCursor> {
+        for (e, expect) in expected.iter().enumerate() {
+            let (kind, payload) = frame::read_frame(reader).unwrap();
+            assert_eq!(kind, FrameKind::Epoch);
+            let got = decode_epoch(&payload).unwrap();
+            assert_eq!(got.epoch, e as u64);
+            assert_eq!(got.reports, expect.nodes);
+        }
+        let (kind, payload) = frame::read_frame(reader).unwrap();
+        assert_eq!(kind, FrameKind::Done);
+        frame::decode_seq(&payload).unwrap()
+    }
+
     #[test]
     fn worker_main_runs_a_task_in_process() {
         // Drive the worker loop over in-memory pipes: frames out must
         // reproduce the fused in-process epochs bit-exactly.
         let blueprint = sample_blueprint(3, 11);
-        let task = WorkerTask {
-            shard: 0,
-            epochs: 4,
-            eval: EvalMode::Full,
-            blueprint: blueprint.clone(),
-            cursors: None,
-            fault: None,
-        };
-        let mut input = Vec::new();
-        frame::write_frame(&mut input, FrameKind::Task, &frame::encode_message(&task)).unwrap();
+        let input = control(&[task(0, &blueprint), run(4, EvalMode::Full, None)]);
         let mut output = Vec::new();
         worker_main(&mut &input[..], &mut output).unwrap();
 
@@ -440,16 +520,7 @@ mod tests {
         let expected = fused.run_epochs(4);
 
         let mut reader = &output[..];
-        for (e, expect) in expected.iter().enumerate() {
-            let (kind, payload) = frame::read_frame(&mut reader).unwrap();
-            assert_eq!(kind, FrameKind::Epoch);
-            let got = decode_epoch(&payload).unwrap();
-            assert_eq!(got.epoch, e as u64);
-            assert_eq!(got.reports, expect.nodes);
-        }
-        let (kind, payload) = frame::read_frame(&mut reader).unwrap();
-        assert_eq!(kind, FrameKind::Done);
-        let cursors: Vec<NodeCursor> = frame::decode_message(&payload).unwrap();
+        let cursors = read_horizon(&mut reader, &expected);
         assert_eq!(cursors.len(), 3);
         assert!(cursors.iter().all(|c| c.epochs_run == 4));
         assert!(matches!(
@@ -459,20 +530,43 @@ mod tests {
     }
 
     #[test]
+    fn worker_main_serves_consecutive_runs_on_one_build() {
+        // Task, Run(3), Run(2, Incremental), EOF: two horizons, each
+        // closed by Done, bit-equal to the same calls on a fused cluster.
+        let blueprint = sample_blueprint(3, 5);
+        let input = control(&[
+            task(0, &blueprint),
+            run(3, EvalMode::Full, None),
+            run(2, EvalMode::Incremental, None),
+        ]);
+        let mut output = Vec::new();
+        worker_main(&mut &input[..], &mut output).unwrap();
+
+        let mut fused = blueprint.build().unwrap();
+        let first = fused.run_epochs(3);
+        let second = fused.run_epochs_eval(2, EvalMode::Incremental);
+        let fused_cursors: Vec<NodeCursor> = fused.nodes().map(|n| n.cursor()).collect();
+
+        let mut reader = &output[..];
+        let after_first = read_horizon(&mut reader, &first);
+        assert!(after_first.iter().all(|c| c.epochs_run == 3));
+        assert_eq!(read_horizon(&mut reader, &second), fused_cursors);
+        assert!(matches!(
+            frame::read_frame(&mut reader),
+            Err(FrameError::CleanEof)
+        ));
+    }
+
+    #[test]
     fn worker_main_reports_build_failure_as_error_frame() {
-        // An unsatisfiable blueprint (cursor count mismatch) must produce
-        // an Error frame and an Err return, not a partial stream.
+        // An unsatisfiable run (cursor count mismatch) must produce an
+        // Error frame and an Err return, not a partial stream.
         let blueprint = sample_blueprint(2, 1);
-        let task = WorkerTask {
-            shard: 3,
-            epochs: 2,
-            eval: EvalMode::Full,
-            blueprint,
-            cursors: Some(Vec::new()), // wrong: 0 cursors for 2 nodes
-            fault: None,
-        };
-        let mut input = Vec::new();
-        frame::write_frame(&mut input, FrameKind::Task, &frame::encode_message(&task)).unwrap();
+        // Wrong: 0 cursors for 2 nodes.
+        let input = control(&[
+            task(3, &blueprint),
+            run(2, EvalMode::Full, Some(Vec::new())),
+        ]);
         let mut output = Vec::new();
         let err = worker_main(&mut &input[..], &mut output).unwrap_err();
         assert!(matches!(err, SimError::Shard { shard: 3, .. }));
@@ -488,5 +582,44 @@ mod tests {
         let mut output = Vec::new();
         let err = worker_main(&mut &b"not a frame"[..], &mut output).unwrap_err();
         assert!(matches!(err, SimError::Shard { .. }));
+    }
+
+    #[test]
+    fn worker_main_rejects_out_of_order_frames() {
+        // Each sequence must end the worker with an Error frame naming the
+        // violation and an Err return; no epoch is run for the bad frame.
+        let blueprint = sample_blueprint(2, 9);
+        let epoch = (FrameKind::Epoch, encode_epoch(0, &[]));
+        let cases = [
+            (
+                vec![run(1, EvalMode::Full, None)],
+                "run frame before any task frame",
+            ),
+            (
+                vec![task(1, &blueprint), task(1, &blueprint)],
+                "second task frame",
+            ),
+            (
+                vec![task(1, &blueprint), epoch.clone()],
+                "coordinator sent a worker-only Epoch frame",
+            ),
+            (vec![epoch], "coordinator sent a worker-only Epoch frame"),
+        ];
+        for (frames, cause) in cases {
+            let input = control(&frames);
+            let mut output = Vec::new();
+            let err = worker_main(&mut &input[..], &mut output).unwrap_err();
+            assert!(matches!(err, SimError::Shard { .. }), "{cause}: {err}");
+            assert!(err.to_string().contains(cause), "{cause}: {err}");
+            let mut reader = &output[..];
+            let (kind, payload) = frame::read_frame(&mut reader).unwrap();
+            assert_eq!(kind, FrameKind::Error, "{cause}");
+            let report: WorkerErrorReport = frame::decode_message(&payload).unwrap();
+            assert!(report.message.contains(cause), "{cause}: {report:?}");
+            assert!(matches!(
+                frame::read_frame(&mut reader),
+                Err(FrameError::CleanEof)
+            ));
+        }
     }
 }

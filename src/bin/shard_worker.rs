@@ -1,11 +1,13 @@
 //! Shard worker: one process of a [`ShardedCluster`] fleet.
 //!
 //! Speaks the length-prefixed frame protocol of `nfv_sim::shard` on
-//! stdin/stdout: reads one task frame describing its node slice, streams
-//! one epoch frame per epoch, and closes with a done frame carrying its
-//! final cursors. Never invoked by hand — the coordinator
-//! (`nfv_sim::shard::ShardedCluster`) spawns it; `repro shard-worker` is
-//! the same loop hosted in the bench binary.
+//! stdin/stdout for the life of its coordinator: reads one task frame
+//! describing its node slice and builds the nodes once, then answers each
+//! run frame with one epoch frame per epoch and a done frame carrying its
+//! cursors. Exits 0 when stdin ends, 1 after reporting a failure. Never
+//! invoked by hand — the coordinator (`nfv_sim::shard::ShardedCluster`)
+//! spawns it once per fleet; `repro shard-worker` is the same loop hosted
+//! in the bench binary.
 //!
 //! [`ShardedCluster`]: nfv_sim::shard::ShardedCluster
 
@@ -17,7 +19,7 @@ fn main() {
     // so without a real block buffer every epoch frame degenerates into a
     // storm of tiny writes. The generous capacity batches many epoch
     // frames per pipe write, keeping worker/coordinator context switches
-    // off the per-epoch cost (worker_main flushes at protocol boundaries).
+    // off the per-epoch cost (worker_main flushes after each done frame).
     let mut output = BufWriter::with_capacity(256 * 1024, stdout().lock());
     match nfv_sim::shard::worker_main(&mut input, &mut output) {
         Ok(()) => {

@@ -341,6 +341,147 @@ fn shards_1_unspawnable_worker_is_a_structured_error() {
     );
 }
 
+/// Cursors of a freshly built cluster, in node order.
+fn fresh_cursors(blueprint: &ClusterBlueprint) -> Vec<NodeCursor> {
+    let cluster = blueprint.build().expect("blueprint builds");
+    cluster.nodes().map(|n| n.cursor()).collect()
+}
+
+/// The `shard_worker` binary behind a `/bin/sh` wrapper that appends one
+/// `spawn` line to a per-test log when a worker process starts and one
+/// `exit <status>` line when the worker itself exits — worker lifecycles
+/// counted from outside, through the public `WorkerCommand` alone.
+fn logged_worker(test: &str) -> (WorkerCommand, std::path::PathBuf) {
+    let log = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{test}.log"));
+    let _ = std::fs::remove_file(&log);
+    let script = format!(
+        "echo spawn >> '{log}'; \"$0\" \"$@\"; echo \"exit $?\" >> '{log}'",
+        log = log.display()
+    );
+    let command = WorkerCommand::new(
+        "/bin/sh",
+        vec![
+            "-c".into(),
+            script,
+            env!("CARGO_BIN_EXE_shard_worker").into(),
+        ],
+    );
+    (command, log)
+}
+
+/// How many lines of the wrapper log equal `line`.
+fn log_count(log: &std::path::Path, line: &str) -> usize {
+    std::fs::read_to_string(log)
+        .unwrap_or_default()
+        .lines()
+        .filter(|l| *l == line)
+        .count()
+}
+
+/// A sequence of calls on one live fleet, with varying horizons and mixed
+/// evaluation modes, equals the same call sequence on one fused cluster —
+/// and the fleet spawns each worker exactly once across all of them.
+fn live_fleet_calls_match_fused(shards: u32, test: &str) {
+    let bp = seven_node_blueprint();
+    let calls = [
+        (2, EvalMode::Full),
+        (3, EvalMode::Incremental),
+        (1, EvalMode::Full),
+        (4, EvalMode::Incremental),
+        (2, EvalMode::Incremental),
+    ];
+    let mut fused = bp.build().expect("blueprint builds");
+    let (worker, log) = logged_worker(test);
+    let mut sharded = ShardedCluster::with_worker(bp, shards, worker).expect("valid shard count");
+    for (i, (epochs, eval)) in calls.into_iter().enumerate() {
+        let got = sharded.run_epochs_eval(epochs, eval).expect("call runs");
+        assert_eq!(
+            got,
+            fused.run_epochs_eval(epochs, eval),
+            "call {i} ({epochs} epochs, {eval:?}) diverged at {shards} shards"
+        );
+    }
+    assert_eq!(sharded.epochs_run(), 12);
+    assert_eq!(
+        sharded.cursors().expect("cursors"),
+        fused.nodes().map(|n| n.cursor()).collect::<Vec<_>>()
+    );
+    assert_eq!(
+        log_count(&log, "spawn"),
+        shards as usize,
+        "one worker per shard for the fleet's whole life"
+    );
+}
+
+#[test]
+fn shards_2_live_fleet_consecutive_calls_match_fused() {
+    live_fleet_calls_match_fused(2, "shards_2_live_fleet");
+}
+
+#[test]
+fn shards_4_live_fleet_consecutive_calls_match_fused() {
+    live_fleet_calls_match_fused(4, "shards_4_live_fleet");
+}
+
+/// Restoring a snapshot onto a live fleet rewinds it without a respawn:
+/// the replayed epochs equal the fused run's epochs after the snapshot.
+#[test]
+fn shards_2_restore_onto_live_fleet_replays_bit_exact() {
+    let bp = seven_node_blueprint();
+    let fused = fused_reports(&bp, 5, EvalMode::Full);
+    let (worker, log) = logged_worker("shards_2_restore_live");
+    let mut sharded = ShardedCluster::with_worker(bp, 2, worker).expect("2 shards");
+    sharded.run_epochs(2).expect("first segment runs");
+    let snapshot = sharded.cursors().expect("cursor snapshot");
+    sharded.run_epochs(3).expect("second segment runs");
+    sharded.restore_cursors(snapshot).expect("snapshot fits");
+    assert_eq!(sharded.epochs_run(), 2);
+    let replay = sharded.run_epochs(3).expect("replay runs");
+    assert_eq!(replay, fused[2..5], "restored live fleet diverged");
+    assert_eq!(sharded.epochs_run(), 5);
+    assert_eq!(log_count(&log, "spawn"), 2, "restore must not respawn");
+}
+
+/// A failed call leaves the run where the last merged call left it; the
+/// next call respawns the fleet and continues bit-equal from there. The
+/// injected fault is consumed by the call it breaks.
+#[test]
+fn shards_2_fleet_recovers_after_worker_exit() {
+    let bp = seven_node_blueprint();
+    let fused = fused_reports(&bp, 5, EvalMode::Full);
+    let (worker, log) = logged_worker("shards_2_recovery");
+    let mut sharded = ShardedCluster::with_worker(bp, 2, worker).expect("2 shards");
+    let mut reports = sharded.run_epochs(2).expect("first segment runs");
+    sharded.inject_fault(1, WorkerFault::ExitAfter { epochs: 1, code: 3 });
+    let (shard, cause) = expect_shard_error(sharded.run_epochs(3));
+    assert_eq!(shard, 1, "error must name the failing shard: {cause}");
+    assert!(cause.contains("after 1 of 3 epochs"), "progress: {cause}");
+    assert_eq!(sharded.epochs_run(), 2, "a failed call merges nothing");
+    assert_eq!(log_count(&log, "exit 3"), 1, "the faulted worker exited");
+    reports.extend(sharded.run_epochs(3).expect("respawned fleet runs"));
+    assert_eq!(reports, fused, "recovered fleet diverged");
+    assert_eq!(sharded.epochs_run(), 5);
+    assert_eq!(
+        log_count(&log, "spawn"),
+        4,
+        "one respawn of the whole fleet"
+    );
+}
+
+/// Dropping a live fleet returns and shuts every worker down through end
+/// of stdin: each worker exits 0 on its own, none is killed.
+#[test]
+fn shards_2_drop_shuts_workers_down_by_end_of_stream() {
+    let (worker, log) = logged_worker("shards_2_drop");
+    let mut sharded =
+        ShardedCluster::with_worker(seven_node_blueprint(), 2, worker).expect("2 shards");
+    sharded.run_epochs(2).expect("fleet runs");
+    assert_eq!(log_count(&log, "exit 0"), 0, "workers outlive the call");
+    drop(sharded);
+    assert_eq!(log_count(&log, "spawn"), 2);
+    assert_eq!(log_count(&log, "exit 0"), 2, "every worker exited 0");
+}
+
 /// The CI shard-matrix and [`SUPPORTED_SHARD_COUNTS`] pin each other: every
 /// supported count has a YAML matrix entry and a test leg here, and the
 /// YAML names no count this suite does not support.
@@ -423,6 +564,15 @@ proptest! {
         let _ = frame::decode_value(&bytes);
     }
 
+    /// The per-item sequence decoder (done-frame cursors) is total over
+    /// arbitrary payloads.
+    #[test]
+    fn sequence_decoder_survives_garbage_bytes(
+        bytes in proptest::collection::vec(0u8..=255, 0..96),
+    ) {
+        let _ = frame::decode_seq::<NodeCursor>(&bytes);
+    }
+
     /// Corrupting any single byte of a valid value-tree payload never
     /// panics the decoder: it decodes to something or errors cleanly.
     #[test]
@@ -431,20 +581,27 @@ proptest! {
     ) {
         let task = nfv_sim::shard::WorkerTask {
             shard: 1,
-            epochs: 3,
-            eval: EvalMode::Full,
             blueprint: {
                 let mut bp = seven_node_blueprint();
                 bp.nodes.truncate(1);
                 bp
             },
-            cursors: None,
-            fault: None,
         };
         let mut bytes = frame::encode_message(&task);
         let (pos, val) = corrupt;
         let pos = pos % bytes.len();
         bytes[pos] = val;
         let _ = frame::decode_message::<nfv_sim::shard::WorkerTask>(&bytes);
+
+        let run = nfv_sim::shard::WorkerRun {
+            epochs: 3,
+            eval: EvalMode::Full,
+            cursors: Some(fresh_cursors(&task.blueprint)),
+            fault: Some(WorkerFault::ExitAfter { epochs: 1, code: 3 }),
+        };
+        let mut bytes = frame::encode_message(&run);
+        let pos = pos % bytes.len();
+        bytes[pos] = val;
+        let _ = frame::decode_message::<nfv_sim::shard::WorkerRun>(&bytes);
     }
 }
